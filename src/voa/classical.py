@@ -524,12 +524,7 @@ def dring_contains(p: ClassicalPoly, generators) -> bool:
         for idx in mono:
             prod = prod * shifted[idx][1]
         columns.append(prod)
-    coords = sorted({k for q in columns for k in q.terms} | set(p.terms))
-    from . import linalg
-
-    cols = [[q.terms.get(k, Fraction(0)) for k in coords] for q in columns]
-    rhs = [p.terms.get(k, Fraction(0)) for k in coords]
-    return linalg.solve(cols, rhs, Fraction(0)) is not None
+    return linalg.solve([q.terms for q in columns], p.terms, Fraction(0)) is not None
 
 
 def minimal_dring_generators(candidates) -> list:

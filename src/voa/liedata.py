@@ -216,7 +216,7 @@ def validate(spec: LieSpec) -> ValidationReport:
                 s += sum(c[i][l][p] * spec.form[j][p] for p in range(n))
                 if s != 0:
                     rep.add("form_invariance", (i, j, l))
-    if linalg.rank([list(row) for row in spec.form]) != n:
+    if linalg.rank([dict(enumerate(row)) for row in spec.form]) != n:
         rep.add("form_nondegenerate", ())
     return rep
 

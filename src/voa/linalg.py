@@ -1,116 +1,125 @@
-"""Exact Gaussian elimination over a field given by duck-typed elements.
+"""Exact sparse Gauss-Jordan elimination over a field of duck-typed scalars.
 
-Works for both ``fractions.Fraction`` and ``LevelScalar``: entries need
-+, -, *, /, truthiness (zero is falsy) and an additive inverse.  Pivoting is
-deterministic: columns left to right, first nonzero row wins.
+Entries are ``fractions.Fraction`` or ``LevelScalar``: they need +, -, *, /,
+negation and truthiness (zero is falsy).  A matrix is given by its columns,
+each a mapping ``coord -> entry``; the coords label the rows and are any
+hashable values (the monomials of a ``State``, say), and an absent or zero
+entry is zero.  The mappings are only read, never changed, so a caller may
+pass cached ``State.terms`` maps as they are.
+
+``solve``, ``kernel_basis``, ``rank`` and ``invert`` all run one elimination,
+``_eliminate``, on rows kept as dicts ``{column: nonzero entry}``.  Columns
+are taken left to right.  A column's pivot row is the unused row with the
+fewest entries, ties going to the row met first; it is scaled so that the
+pivot is 1, and the column is cleared from every other row.  Only stored
+entries are updated and an entry that cancels is dropped, so the cost
+follows the nonzeros rather than the matrix size, and taking the sparsest
+row keeps the fill-in small.
+
+The choice of pivot row changes no answer.  The pivot columns (each column
+independent of the ones before it) are a property of the matrix, and so is
+the reduced row echelon form.  Hence ``solve``'s answer with its free
+variables set to zero, and the kernel basis read off the reduced form, are
+unique.
 """
 
 from __future__ import annotations
 
 
-def rref(rows):
-    """Reduce in place to reduced row echelon form; returns pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != piv / piv:  # scale pivot row to 1
-            inv = (piv / piv) / piv
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _eliminate(columns, npivot):
+    """Reduce the matrix with the given columns, pivoting on the first npivot.
 
-
-def rank(rows):
-    work = [list(r) for r in rows]
-    return len(rref(work))
-
-
-def kernel_basis(rows, ncols, zero, one):
-    """Deterministic basis of the right kernel, one vector per free column.
-
-    Each basis vector has 1 in its own free column and 0 in the others, with
-    pivot coordinates back-substituted; the result is already in reduced
-    echelon form with respect to the column order.
+    The columns from npivot on (a right-hand side, an identity) are carried
+    along.  Returns ``(pivots, rest)``: ``pivots`` maps each pivot column to
+    its reduced row, which is 1 at the pivot; ``rest`` lists the other
+    nonempty rows, which have entries in the carried columns only.
     """
-    work = [list(r) for r in rows]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
+    rows, index = [], {}
+    for j, col in enumerate(columns):
+        for coord, v in col.items():
+            if v:
+                i = index.get(coord)
+                if i is None:
+                    i = index[coord] = len(rows)
+                    rows.append({})
+                rows[i][j] = v
+    live = list(range(len(rows)))  # rows not yet used as a pivot, in order
+    pivots = {}
+    for c in range(npivot):
+        p = min((i for i in live if c in rows[i]), key=lambda i: len(rows[i]), default=None)
+        if p is None:
             continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for r, pc in enumerate(pivots):
-            if work[r][free]:
-                vec[pc] = -work[r][free]
-        basis.append(vec)
-    return basis
+        live.remove(p)
+        piv = rows[p][c]
+        prow = rows[p] = {j: v / piv for j, v in rows[p].items()}
+        for i, row in enumerate(rows):
+            f = row.pop(c, None) if i != p else None
+            if f is None:
+                continue
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                s = row.get(j)
+                s = -(f * v) if s is None else s - f * v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+        pivots[c] = prow
+    return pivots, [rows[i] for i in live if rows[i]]
 
 
 def solve(columns, rhs, zero):
     """One exact solution x of sum_j x_j * columns[j] = rhs, or None.
 
-    Free variables are set to zero (earliest-column pivot preference), so the
-    answer is deterministic in the column order.
+    ``rhs`` is a mapping ``coord -> entry`` like the columns.  Free variables
+    are set to zero, so the answer is determined by the column order.
     """
-    ncols = len(columns)
-    nrows = len(rhs)
-    aug = [[columns[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if aug[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c] / piv
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    # consistency: rows past the pivot rows must have zero rhs
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    x = [zero] * ncols
-    for row, col in pivots:
-        x[col] = aug[row][ncols] / aug[row][col]
+    n = len(columns)
+    pivots, rest = _eliminate([*columns, rhs], n)
+    if rest:
+        return None
+    x = [zero] * n
+    for c, row in pivots.items():
+        x[c] = row.get(n, zero)
     return x
 
 
-def invert(matrix, zero, one):
-    """Inverse of a square matrix; raises ValueError if singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    pivots = rref(aug)
-    if pivots != list(range(n)):
+def kernel_basis(columns, ncols, zero, one):
+    """Basis of the right kernel of the matrix of ``ncols`` columns.
+
+    One vector per free (non-pivot) column: 1 in that column, 0 in the
+    other free columns, and the back-substituted values in the pivot
+    columns.  The vectors are dense lists of length ``ncols``, in the order
+    of their free columns, and together already in reduced echelon form.
+    """
+    pivots, _ = _eliminate(columns, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = one
+        for c, row in pivots.items():
+            v = row.get(free)
+            if v:
+                vec[c] = -v
+        basis.append(vec)
+    return basis
+
+
+def rank(columns):
+    """Rank of the matrix with the given columns."""
+    return len(_eliminate(columns, len(columns))[0])
+
+
+def invert(columns, zero, one):
+    """Rows of the inverse of a square matrix; raises ValueError if singular.
+
+    ``columns[j]`` maps each row index i to the entry in row i, column j.
+    """
+    n = len(columns)
+    pivots, _ = _eliminate([*columns, *({i: one} for i in range(n))], n)
+    if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
+    return [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)]

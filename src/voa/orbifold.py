@@ -318,33 +318,18 @@ def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
     if w < 0:
         raise ValueError("weight must be nonnegative")
     basis = _weight_monomials(spec.dim, w)
-    rows = []
-
-    def add_rows(image_states, shift_identity):
-        cols = []
-        for mono in basis:
-            st = image_states(State({mono: 1}))
-            if shift_identity:
-                st = st - State({mono: 1})
-            cols.append(st)
-        for out_mono in sorted({m for st in cols for m in st.terms}):
-            row = [st.coefficient(out_mono).as_fraction() for st in cols]
-            rows.append(row)
-
-    for rho in action.lie_generators:
-        add_rows(lambda s, r=rho: vc.lie_act(spec, r, s), False)
-    for M in action.finite_elements:
-        add_rows(lambda s, M=M: vc.apply_group_element(spec, M, s), True)
-
-    if not rows:
-        vecs = [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
-                for i in range(len(basis))]
-    else:
-        vecs = linalg.kernel_basis(rows, len(basis), Fraction(0), Fraction(1))
-    states = []
-    for v in vecs:
-        states.append(State({basis[i]: c for i, c in enumerate(v) if c}))
-    return states
+    images = [lambda s, r=rho: vc.lie_act(spec, r, s) for rho in action.lie_generators]
+    images += [lambda s, M=M: vc.apply_group_element(spec, M, s) - s
+               for M in action.finite_elements]
+    # column j: the images of basis monomial j, keyed by (action index, monomial)
+    columns = []
+    for mono in basis:
+        unit = State({mono: 1})
+        columns.append({(a, out): c.as_fraction()
+                        for a, image in enumerate(images)
+                        for out, c in image(unit).terms.items()})
+    vecs = linalg.kernel_basis(columns, len(basis), Fraction(0), Fraction(1))
+    return [State({basis[i]: c for i, c in enumerate(v) if c}) for v in vecs]
 
 
 # -- expressing states in generators ------------------------------------------------
@@ -403,10 +388,7 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
         if exact_degree is not None:
             st = st.degree_component(exact_degree)
         evals.append(st)
-    coords = sorted({m for st in evals for m in st.terms} | set(target.terms))
-    columns = [[st.coefficient(m) for m in coords] for st in evals]
-    rhs = [target.coefficient(m) for m in coords]
-    sol = linalg.solve(columns, rhs, ZERO)
+    sol = linalg.solve([st.terms for st in evals], target.terms, ZERO)
     if sol is None:
         return None
     return FormalNOP({candidates[i]: c for i, c in enumerate(sol) if c})
@@ -466,13 +448,6 @@ def _pr_lambdas(m: int) -> dict:
     symbols; integration by parts predicts lambda(a,b) = (-1)^a.
     """
     pairs = [(a, m - a) for a in range(0, m // 2 + 1)]
-    index = {p: i for i, p in enumerate(pairs)}
-
-    def vec(poly):
-        v = [Fraction(0)] * len(pairs)
-        for (a, b), c in poly.items():
-            v[index[(min(a, b), max(a, b))]] += c
-        return v
 
     def d_symbol(poly):
         out = {}
@@ -482,14 +457,14 @@ def _pr_lambdas(m: int) -> dict:
                 out[key] = out.get(key, Fraction(0)) + c
         return out
 
-    columns = [vec({(0, m): Fraction(1)})]
+    # symbols keyed (a, b) with a <= b, which d_symbol keeps
+    columns = [{(0, m): Fraction(1)}]
     lower = [(c, m - 2 - c) for c in range(0, (m - 2) // 2 + 1)] if m >= 2 else []
     for p in lower:
-        columns.append(vec(d_symbol(d_symbol({p: Fraction(1)}))))
+        columns.append(d_symbol(d_symbol({p: Fraction(1)})))
     lambdas = {}
     for (a, b) in pairs:
-        rhs = vec({(a, b): Fraction(1)})
-        sol = linalg.solve(columns, rhs, Fraction(0))
+        sol = linalg.solve(columns, {(a, b): Fraction(1)}, Fraction(0))
         if sol is None:
             raise RuntimeError(f"projection solve failed in weight {m + 2}")
         lambdas[(a, b)] = sol[0]
@@ -497,6 +472,10 @@ def _pr_lambdas(m: int) -> dict:
 
 
 _PR_CACHE = {}
+#: (n, max weight) -> omega_dictionary, shared by remainder_direct calls so
+#: that each generator derivative is computed once; the weights are bounded
+#: by REMAINDER_MAX_M + 2
+_OMEGA_CACHE = {}
 
 
 def pr_coefficient(nop: FormalNOP, m: int) -> LevelScalar:
@@ -549,7 +528,10 @@ def remainder_direct(n: int, I, J, max_m: int = REMAINDER_MAX_M) -> Fraction:
         raise ResourceError(
             f"weight index m={m} exceeds the budget {max_m} for direct computation"
         )
-    dictionary = omega_dictionary(n, m + 2)
+    key = (n, m + 2)
+    if key not in _OMEGA_CACHE:
+        _OMEGA_CACHE[key] = omega_dictionary(n, m + 2)
+    dictionary = _OMEGA_CACHE[key]
     lifted = quantum_correction(rel, dictionary)
     tail = lifted.restrict_degree(dictionary, 2)
     coeff = pr_coefficient(tail, m)

@@ -81,9 +81,11 @@ def remainder_oracle_pairs():
 
 def suite_remainder_oracle() -> SuiteResult:
     res = SuiteResult("remainder-oracle")
-    for I, J in remainder_oracle_pairs():
-        direct = ob.remainder_direct(1, I, J)
-        recursive = rm.rn(1, I, J)
+    cases = [(1, I, J) for I, J in remainder_oracle_pairs()]
+    cases.append((2, (0, 1, 2), (0, 1, 2)))  # the rank-2 diagonal, R_2 of Table 1
+    for n, I, J in cases:
+        direct = ob.remainder_direct(n, I, J)
+        recursive = rm.rn(n, I, J)
         res.add(
             f"direct({I},{J}) = recursive = {recursive}",
             direct == recursive,
@@ -326,9 +328,7 @@ def classical_graded_dimension(n: int, w: int) -> int:
         for a, b in mono:
             p = p * cl.weyl_q(n, a, b)
         polys.append(p)
-    coords = sorted({k for p in polys for k in p.terms})
-    rows = [[p.terms.get(k, Fraction(0)) for k in coords] for p in polys]
-    return linalg.rank(rows)
+    return linalg.rank([p.terms for p in polys])
 
 
 def suite_invariant_dims() -> SuiteResult:

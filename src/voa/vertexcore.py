@@ -412,7 +412,7 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     n = spec.dim
     try:
         binv = linalg.invert(
-            [list(row) for row in spec.form], Fraction(0), Fraction(1)
+            [dict(enumerate(col)) for col in zip(*spec.form)], Fraction(0), Fraction(1)
         )
     except ValueError:
         raise ValueError("bilinear form is not invertible; no Sugawara vector")

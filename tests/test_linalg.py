@@ -1,0 +1,168 @@
+"""Direct tests of the sparse elimination in voa.linalg.
+
+Answers are checked by their defining properties (multiplying back, unit
+free columns, rank + nullity), not against another elimination.
+"""
+
+import copy
+import random
+from fractions import Fraction
+
+import pytest
+
+from voa import linalg
+from voa.scalars import K, ONE, ZERO, LevelScalar
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def matvec(columns, x, zero=F0):
+    """A x as a mapping coord -> nonzero entry."""
+    out = {}
+    for col, xj in zip(columns, x):
+        for coord, v in col.items():
+            out[coord] = out.get(coord, zero) + v * xj
+    return {c: v for c, v in out.items() if v}
+
+
+def random_system(rng):
+    """Sparse columns over a few string coords; some columns are combinations
+    of earlier ones.  Returns (columns, indices of the combination columns)."""
+    coords = [f"r{i}" for i in range(rng.randint(1, 6))]
+    columns, dependent = [], []
+    for j in range(rng.randint(1, 7)):
+        if columns and rng.random() < 0.3:
+            col = {}
+            for earlier in rng.sample(columns, min(2, len(columns))):
+                f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for c, v in earlier.items():
+                    col[c] = col.get(c, F0) + f * v
+            dependent.append(j)
+        else:
+            col = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                   for c in rng.sample(coords, rng.randint(0, len(coords)))}
+        columns.append(col)  # may hold explicit zero entries
+    return columns, dependent
+
+
+def free_columns(basis):
+    """The column where each kernel vector has its 1 and its last nonzero."""
+    out = []
+    for vec in basis:
+        last = max(j for j, v in enumerate(vec) if v)
+        assert vec[last] == 1
+        out.append(last)
+    return out
+
+
+def test_random_systems_by_their_properties():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        columns, dependent = random_system(rng)
+        n = len(columns)
+        before = copy.deepcopy(columns)
+
+        basis = linalg.kernel_basis(columns, n, F0, F1)
+        free = free_columns(basis)
+        assert free == sorted(set(free))
+        for vec, own in zip(basis, free):
+            assert matvec(columns, vec) == {}
+            for f in free:  # 1 in its own free column, 0 in the other ones
+                assert vec[f] == (1 if f == own else 0)
+        r = linalg.rank(columns)
+        assert r + len(basis) == n
+        # a combination of earlier columns never gets a pivot
+        assert set(dependent) <= set(free)
+
+        # a consistent right-hand side: x is zero off the pivot columns
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        b = matvec(columns, coeffs)
+        b_before = dict(b)
+        x = linalg.solve(columns, b, F0)
+        assert x is not None and len(x) == n
+        assert matvec(columns, x) == b
+        assert all(x[f] == 0 for f in free)
+        assert b == b_before
+        assert columns == before
+
+
+def test_solve_inconsistent_returns_none():
+    columns = [{"a": F1, "b": F1}, {"a": Fraction(2), "b": Fraction(2)}]
+    assert linalg.solve(columns, {"a": F1}, F0) is None
+    assert linalg.solve(columns, {"c": F1}, F0) is None  # a row no column reaches
+    assert linalg.solve(columns, {"a": F1, "b": F1}, F0) == [F1, F0]
+
+
+def test_known_pivots_and_kernel():
+    # columns 1 = 2 * column 0 and 3 = column 0 + column 2
+    columns = [
+        {0: F1, 1: Fraction(3)},
+        {0: Fraction(2), 1: Fraction(6)},
+        {1: F1, 2: Fraction(-1)},
+        {0: F1, 1: Fraction(4), 2: Fraction(-1)},
+    ]
+    assert linalg.rank(columns) == 2
+    assert linalg.kernel_basis(columns, 4, F0, F1) == [
+        [Fraction(-2), F1, F0, F0],
+        [Fraction(-1), F0, Fraction(-1), F1],
+    ]
+    assert linalg.solve(columns, {0: Fraction(2), 1: Fraction(7), 2: Fraction(-1)}, F0) == [
+        Fraction(2), F0, F1, F0,
+    ]
+
+
+def test_invert():
+    rng = random.Random(7)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        columns = [{i: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for i in range(n)}
+                   for _ in range(n)]
+        before = copy.deepcopy(columns)
+        if linalg.rank(columns) < n:
+            with pytest.raises(ValueError):
+                linalg.invert(columns, F0, F1)
+            continue
+        inv = linalg.invert(columns, F0, F1)
+        for i in range(n):  # (inv A)[i][j] = sum_t inv[i][t] * A[t][j]
+            for j in range(n):
+                s = sum((inv[i][t] * columns[j].get(t, F0) for t in range(n)), F0)
+                assert s == (1 if i == j else 0)
+        assert columns == before
+        done += 1
+    with pytest.raises(ValueError):
+        linalg.invert([{0: F1, 1: F1}, {0: Fraction(2), 1: Fraction(2)}], F0, F1)
+
+
+def test_empty_and_all_zero_inputs():
+    assert linalg.solve([], {}, F0) == []
+    assert linalg.solve([], {"a": F1}, F0) is None
+    assert linalg.kernel_basis([], 0, F0, F1) == []
+    assert linalg.rank([]) == 0
+    assert linalg.invert([], F0, F1) == []
+    zero_cols = [{}, {"a": F0}]
+    assert linalg.rank(zero_cols) == 0
+    assert linalg.kernel_basis(zero_cols, 2, F0, F1) == [[F1, F0], [F0, F1]]
+    assert linalg.solve(zero_cols, {}, F0) == [F0, F0]
+    assert linalg.solve(zero_cols, {"a": F0}, F0) == [F0, F0]
+    assert linalg.solve(zero_cols, {"a": F1}, F0) is None
+    with pytest.raises(ValueError):
+        linalg.invert([{}], F0, F1)
+
+
+def test_level_dependent_pivot():
+    # [[k, 1], [1, k]] x = (1, 0): x = (k, -1) / (k^2 - 1)
+    columns = [{0: K, 1: ONE}, {0: ONE, 1: K}]
+    rhs = {0: ONE}
+    before = (copy.deepcopy(columns), dict(rhs))
+    x = linalg.solve(columns, rhs, ZERO)
+    det = K * K - ONE
+    assert x == [K / det, -(ONE / det)]
+    assert matvec(columns, x, ZERO) == rhs
+    # at the excluded level k = 1 the system is singular
+    at_one = [{c: LevelScalar.from_fraction(v.evaluate_at(1)) for c, v in col.items()}
+              for col in columns]
+    assert linalg.rank(at_one) == 1
+    assert linalg.kernel_basis(columns, 2, ZERO, ONE) == []
+    assert linalg.invert(columns, ZERO, ONE) == [[K / det, -(ONE / det)], [-(ONE / det), K / det]]
+    assert (columns, rhs) == before

@@ -122,11 +122,11 @@ def test_scan_f_matches_rational_interpolant():
     # unknowns (p2, p1, p0, u, v) with q(a) = a^2 + u a + v:
     # p(a) - f(a) q(a) = 0  ->  p2 a^2 + p1 a + p0 - f u a - f v = f a^2
     rows = []
-    rhs = []
-    for a, f in fit:
+    rhs = {}
+    for r, (a, f) in enumerate(fit):
         rows.append([Fraction(a * a), Fraction(a), Fraction(1), -f * a, -f])
-        rhs.append(f * a * a)
-    cols = [[rows[r][c] for r in range(5)] for c in range(5)]
+        rhs[r] = f * a * a
+    cols = [{r: rows[r][c] for r in range(5)} for c in range(5)]
     sol = linalg.solve(cols, rhs, Fraction(0))
     assert sol is not None
     p2, p1, p0, u, v = sol
