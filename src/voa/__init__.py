@@ -14,10 +14,6 @@ from .scalars import (
     LevelPolynomial,
     LevelScalar,
     PoleAtLevel,
-    Rational,
-    arith,
-    evaluate_at,
-    k_degree,
 )
 from .errors import DescentStuck, ParityError, ResourceError
 from .liedata import (

@@ -15,97 +15,40 @@ from fractions import Fraction
 
 from . import linalg
 from .liedata import ActionSpec
+from .terms import Terms, merge
 
 # sl2 classical variable families, in the basis order of liedata.sl2_spec()
 SL2_X, SL2_Y, SL2_H = 0, 1, 2
 
 
-class ClassicalPoly:
+class ClassicalPoly(Terms):
     """Exact polynomial in the variables x_{i,j}; terms map exponent keys to Q.
 
     A key is a sorted tuple of ((i, j), exponent) pairs.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = c
-
-    @staticmethod
-    def zero() -> "ClassicalPoly":
-        return ClassicalPoly()
-
-    @staticmethod
-    def constant(c) -> "ClassicalPoly":
-        return ClassicalPoly({(): Fraction(c)})
+    coerce = Fraction
 
     @staticmethod
     def variable(i: int, j: int) -> "ClassicalPoly":
         return ClassicalPoly({(((i, j), 1),): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassicalPoly) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        p = ClassicalPoly()
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = ClassicalPoly()
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "ClassicalPoly":
-        c = Fraction(c)
-        p = ClassicalPoly()
-        if c:
-            p.terms = {k: v * c for k, v in self.terms.items()}
-        return p
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def __mul__(self, other: "ClassicalPoly") -> "ClassicalPoly":
         out = {}
         for k1, c1 in self.terms.items():
+            row = {}  # k1 * k2 is distinct for distinct k2: no collisions
             for k2, c2 in other.terms.items():
                 exps = dict(k1)
                 for var, e in k2:
                     exps[var] = exps.get(var, 0) + e
-                key = tuple(sorted(exps.items()))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        p = ClassicalPoly()
-        p.terms = out
-        return p
+                row[tuple(sorted(exps.items()))] = c2
+            merge(out, row, c1)
+        return ClassicalPoly.wrap(out)
 
     # -- gradings ------------------------------------------------------------
 
@@ -125,6 +68,7 @@ class ClassicalPoly:
     # -- derivations and substitutions ----------------------------------------
 
     def partial(self, i: int, j: int) -> "ClassicalPoly":
+        # lowering the exponent of x_{i,j} maps distinct keys to distinct keys
         out = {}
         for key, c in self.terms.items():
             exps = dict(key)
@@ -135,15 +79,8 @@ class ClassicalPoly:
                 del exps[(i, j)]
             else:
                 exps[(i, j)] = e - 1
-            k2 = tuple(sorted(exps.items()))
-            s = out.get(k2, Fraction(0)) + c * e
-            if s:
-                out[k2] = s
-            elif k2 in out:
-                del out[k2]
-        p = ClassicalPoly()
-        p.terms = out
-        return p
+            out[tuple(sorted(exps.items()))] = c * e
+        return ClassicalPoly.wrap(out)
 
     def map_variables(self, fn) -> "ClassicalPoly":
         """Ring homomorphism determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
@@ -241,26 +178,12 @@ def c_symbol(k: int, l: int, m: int):
     return ("C",) + order, (-1) ** inv
 
 
-class QSymbolPoly:
+class QSymbolPoly(Terms):
     """Polynomial in the abstract symbols Q_{a,b} (and C_{klm} in sl2 mode)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = c
-
-    @staticmethod
-    def zero():
-        return QSymbolPoly()
-
-    @staticmethod
-    def constant(c):
-        return QSymbolPoly({(): Fraction(c)})
+    coerce = Fraction
 
     @staticmethod
     def q(a, b):
@@ -274,55 +197,13 @@ class QSymbolPoly:
             return QSymbolPoly.zero()
         return QSymbolPoly({(sym,): Fraction(sign)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, QSymbolPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        p = QSymbolPoly()
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = QSymbolPoly()
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        p = QSymbolPoly()
-        if c:
-            p.terms = {k: v * c for k, v in self.terms.items()}
-        return p
-
     def __mul__(self, other):
         out = {}
         for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        p = QSymbolPoly()
-        p.terms = out
-        return p
+            # k1 * k2 is distinct for distinct k2: no collisions
+            row = {tuple(sorted(k1 + k2)): c2 for k2, c2 in other.terms.items()}
+            merge(out, row, c1)
+        return QSymbolPoly.wrap(out)
 
     def __repr__(self):
         if not self.terms:

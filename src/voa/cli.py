@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import liedata, orbifold as ob, remainder as rm, verify as vf
 from . import vertexcore as vc
 from .errors import DescentStuck, ParityError, ResourceError
-from .scalars import K, LevelScalar, PoleAtLevel, rational_to_str
+from .scalars import PoleAtLevel, rational_to_str
 from .vertexcore import State
 
 
@@ -112,36 +112,18 @@ def cmd_sugawara_check(args) -> int:
         h_dual = liedata.DUAL_COXETER[spec.name]
     else:
         h_dual = Fraction(args.hdual)
-    L = vc.sugawara(spec, h_dual)
-    central = (K.scale(spec.dim)) / ((K + LevelScalar.from_fraction(h_dual)).scale(2))
-    checks = []
-    checks.append(
-        ("L o_3 L = (c/2) |0>",
-         vc.circle_product(spec, L, 3, L) == State.vacuum(central))
-    )
-    checks.append(("L o_2 L = 0", vc.circle_product(spec, L, 2, L).is_zero()))
-    checks.append(("L o_1 L = 2 L", vc.circle_product(spec, L, 1, L) == L.scale(2)))
-    checks.append(
-        ("L o_0 L = d L", vc.circle_product(spec, L, 0, L) == vc.derivative(spec, L))
-    )
-    for g, label in enumerate(spec.labels):
-        X = State.generator(g)
-        checks.append(
-            (f"X^{label} primary of weight one",
-             vc.circle_product(spec, L, 1, X) == X
-             and all(vc.circle_product(spec, L, nn, X).is_zero() for nn in (2, 3)))
-        )
-    cc = central.scale(2)
+    res = vf.suite_sugawara(spec, h_dual)
+    cc = vf.central_charge(spec, h_dual)
     payload = {
         "algebra": spec.name,
         "h_dual": rational_to_str(h_dual),
         "central_charge": cc.to_json(),
-        "checks": [{"label": lab, "ok": ok} for lab, ok in checks],
+        "checks": [{"label": c.label, "ok": c.ok} for c in res.checks],
     }
     lines = [f"central charge: {cc}"]
-    lines += [f"{'PASS' if ok else 'FAIL'} {lab}" for lab, ok in checks]
+    lines += [f"{'PASS' if c.ok else 'FAIL'} {c.label}" for c in res.checks]
     _emit(args, payload, lines)
-    return 0 if all(ok for _, ok in checks) else 1
+    return 0 if res.ok else 1
 
 
 def cmd_invariants(args) -> int:
@@ -228,36 +210,7 @@ def cmd_decouple(args) -> int:
 
 
 def cmd_sl2_generators(args) -> int:
-    import math
-
-    from . import classical as cl
-
-    spec = liedata.sl2_spec()
-    action = liedata.adjoint_action(spec)
-    rows = []
-    for i in range(0, args.max_weight - 1):
-        for j in range(i, args.max_weight - 1):
-            if i + j + 2 > args.max_weight:
-                continue
-            q = ob.sl2_tilde_q(i, j)
-            inv = all(vc.lie_act(spec, r, q).is_zero() for r in action.lie_generators)
-            sym = vc.leading_symbol(q) == cl.sl2_q(i, j).scale(
-                math.factorial(i) * math.factorial(j)
-            )
-            rows.append((f"Qt[{i},{j}]", i + j + 2, inv, sym))
-    for k in range(0, args.max_weight):
-        for l in range(k + 1, args.max_weight):
-            for m in range(l + 1, args.max_weight):
-                if k + l + m + 3 > args.max_weight:
-                    continue
-                c = ob.sl2_tilde_c(k, l, m)
-                inv = all(
-                    vc.lie_act(spec, r, c).is_zero() for r in action.lie_generators
-                )
-                sym = vc.leading_symbol(c) == cl.sl2_c(k, l, m).scale(
-                    math.factorial(k) * math.factorial(l) * math.factorial(m)
-                )
-                rows.append((f"Ct[{k},{l},{m}]", k + l + m + 3, inv, sym))
+    rows = vf.sl2_generator_rows(args.max_weight, args.max_weight)
     payload = [
         {"generator": name, "weight": w, "invariant": inv, "leading_symbol_ok": sym}
         for name, w, inv, sym in rows

@@ -42,12 +42,6 @@ class LieSpec:
     form: Matrix
     name: str = "lie"
 
-    def bracket(self, i: int, j: int) -> tuple:
-        return self.structure[i][j]
-
-    def b(self, i: int, j: int) -> Fraction:
-        return self.form[i][j]
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)

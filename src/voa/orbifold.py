@@ -20,6 +20,7 @@ from .classical import QSymbolPoly
 from .errors import DescentStuck, ParityError, ResourceError
 from .liedata import ActionSpec, LieSpec, abelian, sl2_spec
 from .scalars import ONE, ZERO, LevelScalar
+from .terms import Terms, merge
 from .vertexcore import State
 
 NopMono = tuple  # tuple of (symbol name, derivative count), canonically sorted
@@ -36,7 +37,7 @@ def j_symbol(m: int) -> str:
 _OMEGA_RE = re.compile(r"^Om\[(\d+),(\d+)\]$")
 
 
-class FormalNOP:
+class FormalNOP(Terms):
     """Formal normally ordered polynomial in abstract generator symbols.
 
     Terms map monomials -- tuples of (symbol, derivative count) -- to Q(k)
@@ -44,76 +45,25 @@ class FormalNOP:
     order, derivatives applied first.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    coerce = staticmethod(vc.coerce_scalar)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = c if isinstance(c, LevelScalar) else LevelScalar.from_fraction(c)
-                if not c:
-                    continue
-                key = tuple(sorted(mono))
-                s = self.terms.get(key)
-                s = c if s is None else s + c
-                if s:
-                    self.terms[key] = s
-                elif key in self.terms:
-                    del self.terms[key]
-
-    @staticmethod
-    def zero() -> "FormalNOP":
-        return FormalNOP()
+        for mono, c in (terms or {}).items():
+            merge(self.terms, {tuple(sorted(mono)): self.coerce(c)})
 
     @staticmethod
     def single(symbol: str, deriv: int = 0, coeff=1) -> "FormalNOP":
         return FormalNOP({((symbol, deriv),): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FormalNOP) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        p = FormalNOP()
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = FormalNOP()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = c if isinstance(c, LevelScalar) else LevelScalar.from_fraction(c)
-        p = FormalNOP()
-        if c:
-            p.terms = {m: v * c for m, v in self.terms.items()}
-        return p
-
     def restrict_degree(self, dictionary, max_degree: int) -> "FormalNOP":
-        p = FormalNOP()
-        p.terms = {
+        return self.wrap({
             m: c
             for m, c in self.terms.items()
             if dictionary.monomial_degree(m) <= max_degree
-        }
-        return p
+        })
 
     def __repr__(self):
         if not self.terms:
@@ -199,11 +149,11 @@ class GeneratorDictionary:
 def evaluate_nop(nop: FormalNOP, dictionary: GeneratorDictionary) -> State:
     """Linear, right-nested Wick evaluation of a formal polynomial."""
     spec = dictionary.spec
-    out = State.zero()
+    acc = {}
     for mono, c in nop.terms.items():
         factors = [dictionary.factor_state(s, t) for s, t in mono]
-        out = out + vc.wick_chain(spec, factors).scale(c)
-    return out
+        merge(acc, vc.wick_chain(spec, factors).terms, c)
+    return State.wrap(acc)
 
 
 # -- generator constructions -----------------------------------------------------

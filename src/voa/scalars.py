@@ -11,10 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-# Rationals are stdlib fractions: always reduced, positive denominator,
-# structural equality.
-Rational = Fraction
-
 #: k-degree of the zero scalar.  A float so that the degree laws
 #: deg(a*b) = deg(a) + deg(b) and deg(a+b) <= max(deg a, deg b) hold literally.
 NEG_INFINITY = float("-inf")
@@ -446,23 +442,3 @@ def rational_roots(p: LevelPolynomial) -> list:
                     roots.add(cand)
     return sorted(roots)
 
-
-def arith(a: LevelScalar, b: LevelScalar, op: str) -> LevelScalar:
-    """Dispatch form of the four field operations; div raises on zero b."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def k_degree(a: LevelScalar):
-    return a.k_degree()
-
-
-def evaluate_at(a: LevelScalar, k0) -> Fraction:
-    return a.evaluate_at(k0)

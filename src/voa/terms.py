@@ -1,0 +1,99 @@
+"""Sparse term maps: the linear structure shared by every container.
+
+A state, a formal normally ordered polynomial, a classical polynomial and a
+polynomial in the Q/C symbols are each a finite map from monomial keys to
+exact coefficients.  The map is a dict that never holds a zero value, and
+every operation drops the terms that cancel.  Subclasses supply their keys,
+their products and their rendering; ``coerce`` turns an input coefficient
+(an int, say) into the subclass's coefficient type.
+"""
+
+from __future__ import annotations
+
+
+def merge(acc: dict, terms: dict, scale=None):
+    """acc += scale * terms (scale None means 1); drops cancellations."""
+    if scale is None:
+        for mono, c in terms.items():
+            s = acc.get(mono)
+            s = c if s is None else s + c
+            if s:
+                acc[mono] = s
+            elif mono in acc:
+                del acc[mono]
+    else:
+        if not scale:
+            return
+        for mono, c in terms.items():
+            v = c * scale
+            s = acc.get(mono)
+            s = v if s is None else s + v
+            if s:
+                acc[mono] = s
+            elif mono in acc:
+                del acc[mono]
+
+
+class Terms:
+    """A finite map from keys to nonzero coefficients.
+
+    Treated as immutable; all operations return fresh objects.  Objects of
+    different subclasses never compare equal.
+    """
+
+    __slots__ = ("terms",)
+
+    coerce = None  # coefficient coercion, set by each subclass
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            coerce = self.coerce
+            for key, c in terms.items():
+                c = coerce(c)
+                if c:
+                    self.terms[key] = c
+
+    @classmethod
+    def wrap(cls, terms: dict):
+        """The object over a dict already free of zeros, not copied or coerced."""
+        obj = cls.__new__(cls)
+        obj.terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls):
+        return cls.wrap({})
+
+    @classmethod
+    def constant(cls, c):
+        return cls({(): c})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        merge(out, other.terms)
+        return self.wrap(out)
+
+    def __neg__(self):
+        return self.wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = self.coerce(c)
+        if not c:
+            return self.wrap({})
+        return self.wrap({k: v * c for k, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c)

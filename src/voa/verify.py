@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import classical as cl
 from . import liedata, linalg, orbifold as ob, remainder as rm
 from . import vertexcore as vc
-from .scalars import K, LevelScalar
+from .scalars import K, LevelScalar, rational_to_str
 from .vertexcore import State
 
 TABLE1_EXPECTED = [
@@ -97,14 +97,19 @@ def suite_remainder_oracle() -> SuiteResult:
 # -- 3. Sugawara -----------------------------------------------------------------
 
 
-def suite_sugawara() -> SuiteResult:
+def central_charge(spec, h_dual) -> LevelScalar:
+    """The Sugawara central charge dim * k / (k + h_dual)."""
+    return K.scale(spec.dim) / (K + LevelScalar.from_fraction(h_dual))
+
+
+def suite_sugawara(spec=None, h_dual=2) -> SuiteResult:
     res = SuiteResult("sugawara")
-    spec = liedata.sl2_spec()
-    L = vc.sugawara(spec, 2)
-    central = (K.scale(Fraction(3, 2))) / (K + LevelScalar.from_fraction(2))
+    spec = spec or liedata.sl2_spec()
+    L = vc.sugawara(spec, h_dual)
+    half_c = central_charge(spec, h_dual).scale(Fraction(1, 2))
     res.add(
-        "L o_3 L = (3k/(2(k+2))) |0>",
-        vc.circle_product(spec, L, 3, L) == State.vacuum(central),
+        f"L o_3 L = ({spec.dim}k/(2(k+{rational_to_str(h_dual)}))) |0>",
+        vc.circle_product(spec, L, 3, L) == State.vacuum(half_c),
     )
     res.add("L o_2 L = 0", vc.circle_product(spec, L, 2, L).is_zero())
     res.add("L o_1 L = 2L", vc.circle_product(spec, L, 1, L) == L.scale(2))
@@ -367,33 +372,35 @@ def suite_decoupling() -> SuiteResult:
 # -- 8. sl2 orbifold generators ---------------------------------------------------------
 
 
-def suite_sl2_orbifold() -> SuiteResult:
-    res = SuiteResult("sl2-orbifold")
+def sl2_generator_rows(q_weight: int, c_weight: int) -> list:
+    """(name, weight, invariant, leading symbol ok) for every Qt[i,j] of weight
+    at most q_weight, then every Ct[k,l,m] of weight at most c_weight."""
     spec = liedata.sl2_spec()
     action = liedata.adjoint_action(spec)
-    for i in range(0, 5):
-        for j in range(i, 5):
-            if i + j > 4:
-                continue
-            q = ob.sl2_tilde_q(i, j)
-            inv = all(vc.lie_act(spec, rho, q).is_zero() for rho in action.lie_generators)
-            res.add(f"Qt[{i},{j}] invariant", inv)
+
+    def row(name, weight, state, symbol):
+        inv = all(vc.lie_act(spec, rho, state).is_zero() for rho in action.lie_generators)
+        return name, weight, inv, vc.leading_symbol(state) == symbol
+
+    rows = []
+    for i in range(0, q_weight - 1):
+        for j in range(i, q_weight - 1 - i):
             want = cl.sl2_q(i, j).scale(math.factorial(i) * math.factorial(j))
-            res.add(f"Qt[{i},{j}] leading symbol", vc.leading_symbol(q) == want)
-    for k in range(0, 4):
-        for l in range(k + 1, 5):
-            for m in range(l + 1, 6):
-                if k + l + m > 5:
-                    continue
-                c = ob.sl2_tilde_c(k, l, m)
-                inv = all(
-                    vc.lie_act(spec, rho, c).is_zero() for rho in action.lie_generators
-                )
-                res.add(f"Ct[{k},{l},{m}] invariant", inv)
-                want = cl.sl2_c(k, l, m).scale(
-                    math.factorial(k) * math.factorial(l) * math.factorial(m)
-                )
-                res.add(f"Ct[{k},{l},{m}] leading symbol", vc.leading_symbol(c) == want)
+            rows.append(row(f"Qt[{i},{j}]", i + j + 2, ob.sl2_tilde_q(i, j), want))
+    for k, l, m in itertools.combinations(range(c_weight), 3):
+        if k + l + m + 3 <= c_weight:
+            want = cl.sl2_c(k, l, m).scale(
+                math.factorial(k) * math.factorial(l) * math.factorial(m)
+            )
+            rows.append(row(f"Ct[{k},{l},{m}]", k + l + m + 3, ob.sl2_tilde_c(k, l, m), want))
+    return rows
+
+
+def suite_sl2_orbifold() -> SuiteResult:
+    res = SuiteResult("sl2-orbifold")
+    for name, _, inv, sym in sl2_generator_rows(6, 8):
+        res.add(f"{name} invariant", inv)
+        res.add(f"{name} leading symbol", sym)
     return res
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .liedata import LieSpec
 from .scalars import K, ONE, ZERO, LevelScalar
+from .terms import Terms, merge
 
 Mono = tuple  # tuple of (generator index, mode depth >= 1) pairs
 
@@ -33,7 +34,7 @@ Mono = tuple  # tuple of (generator index, mode depth >= 1) pairs
 _SMALL = {}
 
 
-def _coerce(c) -> LevelScalar:
+def coerce_scalar(c) -> LevelScalar:
     if isinstance(c, LevelScalar):
         return c
     if isinstance(c, int):
@@ -48,28 +49,17 @@ def mono_weight(mono: Mono) -> int:
     return sum(d for _, d in mono)
 
 
-class State:
+class State(Terms):
     """A vertex-algebra element: finite map from PBW monomials to Q(k).
 
     Treated as immutable; all operations return fresh states.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_hash",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        self._hash = None
-        if terms:
-            for mono, coeff in terms.items():
-                c = _coerce(coeff)
-                if c:
-                    self.terms[mono] = c
+    coerce = staticmethod(coerce_scalar)
 
     # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero() -> "State":
-        return State()
 
     @staticmethod
     def vacuum(coeff=1) -> "State":
@@ -79,49 +69,12 @@ class State:
     def generator(i: int, depth: int = 1, coeff=1) -> "State":
         return State({((i, depth),): coeff})
 
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "State") -> "State":
-        out = dict(self.terms)
-        _merge(out, other.terms, None)
-        return _wrap(out)
-
-    def __neg__(self) -> "State":
-        return _wrap({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "State") -> "State":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            s = -c if s is None else s - c
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return _wrap(out)
-
-    def scale(self, c) -> "State":
-        c = _coerce(c)
-        if not c:
-            return _wrap({})
-        return _wrap({m: v * c for m, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "State":
-        return self.scale(c)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, State) and self.terms == other.terms
-
     def __hash__(self):
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:
             self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+            return self._hash
 
     def coefficient(self, mono: Mono) -> LevelScalar:
         return self.terms.get(mono, ZERO)
@@ -145,36 +98,6 @@ class State:
             return "State(0)"
         parts = [f"{c}*{m}" for m, c in sorted(self.terms.items())]
         return "State(" + " + ".join(parts) + ")"
-
-
-def _wrap(terms: dict) -> State:
-    st = State.__new__(State)
-    st.terms = terms
-    st._hash = None
-    return st
-
-
-def _merge(acc: dict, terms: dict, scale):
-    """acc += scale * terms (scale None means 1); drops cancellations."""
-    if scale is None:
-        for mono, c in terms.items():
-            s = acc.get(mono)
-            s = c if s is None else s + c
-            if s:
-                acc[mono] = s
-            elif mono in acc:
-                del acc[mono]
-    else:
-        if not scale:
-            return
-        for mono, c in terms.items():
-            v = c * scale
-            s = acc.get(mono)
-            s = v if s is None else s + v
-            if s:
-                acc[mono] = s
-            elif mono in acc:
-                del acc[mono]
 
 
 def weight(a: State):
@@ -230,8 +153,8 @@ def canonicalize_word(spec: LieSpec, word) -> State:
             for l, cl in enumerate(spec.structure[g1][g2]):
                 if cl:
                     merged = word[:t] + ((l, d1 + d2),) + word[t + 2:]
-                    _merge(acc, canonicalize_word(spec, merged).terms, _coerce(cl))
-            result = _wrap(acc)
+                    merge(acc, canonicalize_word(spec, merged).terms, coerce_scalar(cl))
+            result = State.wrap(acc)
             cache[key] = result
             return result
     return State({word: ONE})
@@ -252,15 +175,15 @@ def _apply_mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> State:
     acc = {}
     inner = _apply_mode_mono(spec, i, n, rest)
     for m2, c2 in inner.terms.items():
-        _merge(acc, canonicalize_word(spec, ((j, d),) + m2).terms, c2)
+        merge(acc, canonicalize_word(spec, ((j, d),) + m2).terms, c2)
     for l, cl in enumerate(spec.structure[i][j]):
         if cl:
-            _merge(acc, _apply_mode_mono(spec, l, n - d, rest).terms, _coerce(cl))
+            merge(acc, _apply_mode_mono(spec, l, n - d, rest).terms, coerce_scalar(cl))
     if n == d:
         b = spec.form[i][j]
         if b:
-            _merge(acc, {rest: K.scale(n * b)}, None)
-    result = _wrap(acc)
+            merge(acc, {rest: K.scale(n * b)}, None)
+    result = State.wrap(acc)
     cache[key] = result
     return result
 
@@ -269,8 +192,8 @@ def mode_action(spec: LieSpec, i: int, n: int, v: State) -> State:
     """The action of X^{xi_i}(n) on a state of the level-k vacuum module."""
     acc = {}
     for mono, c in v.terms.items():
-        _merge(acc, _apply_mode_mono(spec, i, n, mono).terms, c)
-    return _wrap(acc)
+        merge(acc, _apply_mode_mono(spec, i, n, mono).terms, c)
+    return State.wrap(acc)
 
 
 def _binom_int(j: int, m: int) -> int:
@@ -305,7 +228,7 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State) -> State:
         j = n - 1 - p
         coef = sign * _binom_int(j, m)
         if coef:
-            _merge(acc, mode_action(spec, i, j - m, inner).terms, _coerce(coef))
+            merge(acc, mode_action(spec, i, j - m, inner).terms, coerce_scalar(coef))
     # annihilation-side sum: X^i(j-m) hits b first
     for j in range(m, m + wb + 1):
         coef = sign * _binom_int(j, m)
@@ -314,8 +237,8 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State) -> State:
             continue
         inner = _cp_mono(spec, u, n - j - 1, xb)
         if not inner.is_zero():
-            _merge(acc, inner.terms, _coerce(coef))
-    result = _wrap(acc)
+            merge(acc, inner.terms, coerce_scalar(coef))
+    result = State.wrap(acc)
     cache[key] = result
     return result
 
@@ -324,8 +247,8 @@ def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
     """The n-th circle product a o_n b, exact over Q(k)."""
     acc = {}
     for amono, c in a.terms.items():
-        _merge(acc, _cp_mono(spec, amono, n, b).terms, c)
-    return _wrap(acc)
+        merge(acc, _cp_mono(spec, amono, n, b).terms, c)
+    return State.wrap(acc)
 
 
 def wick(spec: LieSpec, a: State, b: State) -> State:
@@ -346,12 +269,12 @@ def wick_chain(spec: LieSpec, states) -> State:
 
 def derivative(spec: LieSpec, a: State) -> State:
     """Translation derivative: raises each mode depth with multiplicity."""
-    out = State.zero()
+    acc = {}
     for mono, c in a.terms.items():
         for t, (g, d) in enumerate(mono):
             word = mono[:t] + ((g, d + 1),) + mono[t + 1:]
-            out = out + canonicalize_word(spec, word).scale(c.scale(d))
-    return out
+            merge(acc, canonicalize_word(spec, word).terms, c.scale(d))
+    return State.wrap(acc)
 
 
 def nth_derivative(spec: LieSpec, a: State, k: int) -> State:
@@ -427,7 +350,7 @@ def sugawara(spec: LieSpec, h_dual) -> State:
 def apply_group_element(spec: LieSpec, M, a: State) -> State:
     """Transform every factor's generator index by the matrix M."""
     n = spec.dim
-    out = State.zero()
+    acc = {}
     for mono, c in a.terms.items():
         words = [(Fraction(1), ())]
         for g, d in mono:
@@ -439,27 +362,22 @@ def apply_group_element(spec: LieSpec, M, a: State) -> State:
                         new_words.append((cf * mj, word + ((j, d),)))
             words = new_words
         for cf, word in words:
-            out = out + canonicalize_word(spec, word).scale(c.scale(cf))
-    return out
+            merge(acc, canonicalize_word(spec, word).terms, c.scale(cf))
+    return State.wrap(acc)
 
 
 def lie_act(spec: LieSpec, rho, a: State) -> State:
     """Infinitesimal action: the derivation replacing one factor at a time."""
     n = spec.dim
-    out = State.zero()
+    acc = {}
     for mono, c in a.terms.items():
         for t, (g, d) in enumerate(mono):
             for j in range(n):
                 rj = rho[j][g]
                 if rj:
                     word = mono[:t] + ((j, d),) + mono[t + 1:]
-                    out = out + canonicalize_word(spec, word).scale(c.scale(rj))
-    return out
-
-
-def state_from_word(spec: LieSpec, word, coeff=1) -> State:
-    """Build the state of an arbitrary creation word, re-canonicalized."""
-    return canonicalize_word(spec, tuple(word)).scale(coeff)
+                    merge(acc, canonicalize_word(spec, word).terms, c.scale(rj))
+    return State.wrap(acc)
 
 
 # -- rendering and serialization ----------------------------------------------

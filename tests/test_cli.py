@@ -72,6 +72,14 @@ def test_sugawara_check(capsys):
     assert code == 0
     assert "central charge: (3*k)/(2 + k)" in out
     assert "FAIL" not in out
+    # the general central charge dim * k / (k + h_dual), here 2k / k
+    code, out, _ = run(
+        capsys, ["sugawara-check", "--algebra", "heisenberg2", "--hdual", "0", "--json"]
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["central_charge"] == {"num": ["2"], "den": ["1"]}
+    assert len(data["checks"]) == 12 and all(c["ok"] for c in data["checks"])
 
 
 def test_invariants(capsys):
@@ -158,3 +166,10 @@ def test_sl2_generators_command(capsys):
     lines = out.splitlines()
     assert any(line.startswith("Qt[0,0]") for line in lines)
     assert all("invariant=yes" in line for line in lines)
+    code, out, _ = run(capsys, ["sl2-generators", "--max-weight", "4", "--json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["generator"], r["weight"]) for r in rows] == [
+        ("Qt[0,0]", 2), ("Qt[0,1]", 3), ("Qt[0,2]", 4), ("Qt[1,1]", 4),
+    ]
+    assert all(r["invariant"] and r["leading_symbol_ok"] for r in rows)
