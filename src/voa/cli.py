@@ -160,7 +160,7 @@ def cmd_table1(args) -> int:
 
 def cmd_remainder(args) -> int:
     I, J = _parse_indices(args.I), _parse_indices(args.J)
-    value = rm.rn(args.n, I, J)
+    value = rm.rn(args.n, I, J, allow_large=args.allow_large)
     payload = {"n": args.n, "I": list(I), "J": list(J), "value": rational_to_str(value)}
     _emit(args, payload, [rational_to_str(value)])
     return 0
@@ -312,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--I", required=True, help="comma-separated indices")
     sp.add_argument("--J", required=True, help="comma-separated indices")
+    sp.add_argument("--allow-large", action="store_true",
+                    help="opt in to n beyond the default resource bound")
 
     sp = add("remainder-direct", cmd_remainder_direct,
              help="R_n(I,J) from scratch in the Heisenberg algebra")

@@ -4,16 +4,32 @@ Index lists are extended off the strictly increasing cone by determinant
 semantics: sorting contributes the sign of the permutation, and a repeated
 entry gives zero.  The recursion substitutes entries i_k -> i_k + i_r + j_0 + 2
 (and j_l likewise), which is what forces that extension.
+
+Evaluation.  ``rn`` normalises the caller's lists once; below that every list
+is a sorted tuple, and a substitution replaces one entry x, at position pos
+of a sorted tuple T, by v = x + shift > x.  So v's slot is
+q = bisect_left(T, v, pos + 1): an equal entry T[q] makes the sub-list
+repeated and the term zero; otherwise moving v from pos to q - 1 sorts the
+list with the sign (-1)^(q - pos - 1).  The term's coefficient
+(-1)^i_r / (x + i_r + 2) + (-1)^j_0 / (x + j_0 + 2) is one pair of small
+integers (num, den).  Each memo entry with n >= 2 is one exact sum over a
+common denominator (n = 1 entries come from ``r1_closed_form``): the terms num * sub / den are brought over
+L = lcm(den * sub.denominator), added as integers and reduced once, by
+``Fraction(total, L)`` (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 5).  The values are the same ``Fraction``s as a term-by-term
+evaluation, which the tests keep as the reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParityError, ResourceError
 
-#: table entries beyond this need the explicit opt-in flag
+#: n (and table entries) beyond this need the explicit opt-in flag
 TABLE_MAX_DEFAULT = 8
 
 
@@ -51,16 +67,19 @@ def r1_closed_form(I, J) -> Fraction:
     return total
 
 
-# One logical map; entries are pure functions of their keys, so concurrent
+# One logical map from canonical keys (n, I, J), I <= J, to R_n of the sorted
+# lists; entries are pure functions of their keys, so concurrent
 # insert-or-get under the GIL at worst recomputes an identical value.
 _MEMO = {}
 
 
-def rn(n: int, I, J, memoize: bool = True) -> Fraction:
+def rn(n: int, I, J, memoize: bool = True, allow_large: bool = False) -> Fraction:
     """R_n(I, J) for length-(n+1) lists, by recursion on n.
 
     The remainder is symmetric in (I, J) (the underlying determinant is), so
-    memo keys fold that symmetry in.
+    memo keys fold that symmetry in.  ``memoize=False`` evaluates in a
+    private memo dropped afterwards.  n beyond ``TABLE_MAX_DEFAULT`` raises
+    ``ResourceError`` unless ``allow_large``.
     """
     I, J = tuple(I), tuple(J)
     if len(I) != n + 1 or len(J) != n + 1:
@@ -71,63 +90,79 @@ def rn(n: int, I, J, memoize: bool = True) -> Fraction:
         raise ValueError("indices must be nonnegative")
     if (sum(I) + sum(J)) % 2:
         raise ParityError(f"m = {sum(I) + sum(J) + 2 * n} is odd")
-    return _rn(n, I, J, _MEMO if memoize else None)
-
-
-def _rn(n, I, J, memo) -> Fraction:
+    _check_bound("n", n, allow_large)
     sI, I2 = normalize_index_list(I)
-    if sI == 0:
-        return Fraction(0)
     sJ, J2 = normalize_index_list(J)
-    if sJ == 0:
+    if sI == 0 or sJ == 0:
         return Fraction(0)
-    sign = sI * sJ
+    memo = _MEMO if memoize else {}
     key = (n, I2, J2) if I2 <= J2 else (n, J2, I2)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            return sign * hit
+    val = memo.get(key)
+    if val is None:
+        val = _rn(n, I2, J2, key, memo)
+    return sI * sJ * val
+
+
+def _check_bound(name, n, allow_large):
+    if n > TABLE_MAX_DEFAULT and not allow_large:
+        raise ResourceError(
+            f"{name} = {n} beyond the default bound {TABLE_MAX_DEFAULT};"
+            " pass the opt-in flag to go further"
+        )
+
+
+def _rn(n, I, J, key, memo) -> Fraction:
+    """R_n on sorted lists I, J with memo key ``key``; stores every entry it reaches."""
     if n == 1:
-        val = r1_closed_form(I2, J2)
-    else:
-        val = Fraction(0)
-        j0 = J2[0]
-        Jp = J2[1:]
-        for r in range(n + 1):
-            ir = I2[r]
-            Ir = I2[:r] + I2[r + 1:]
-            outer = (-1) ** r
-            shift = ir + j0 + 2
+        val = memo[key] = r1_closed_form(I, J)
+        return val
+    get = memo.get
+    terms = []  # (numerator, denominator) of each nonzero term
+    m = n - 1
+    j0 = J[0]
+    Jp = J[1:]
+    for r in range(n + 1):
+        ir = I[r]
+        Ir = I[:r] + I[r + 1:]
+        shift = ir + j0 + 2
+        for side in (0, 1):
+            T = Jp if side else Ir
             for pos in range(n):
-                ik = Ir[pos]
-                sub = _rn(n - 1, Ir[:pos] + (ik + shift,) + Ir[pos + 1:], Jp, memo)
-                if sub:
-                    val -= outer * (-1) ** ir * sub / (ik + ir + 2)
-                    val -= outer * (-1) ** j0 * sub / (ik + j0 + 2)
-            for pos in range(n):
-                jl = Jp[pos]
-                sub = _rn(n - 1, Ir, Jp[:pos] + (jl + shift,) + Jp[pos + 1:], memo)
-                if sub:
-                    val -= outer * (-1) ** ir * sub / (jl + ir + 2)
-                    val -= outer * (-1) ** j0 * sub / (jl + j0 + 2)
-    if memo is not None:
-        memo[key] = val
-    return sign * val
+                x = T[pos]
+                v = x + shift
+                q = bisect_left(T, v, pos + 1)
+                if q < n and T[q] == v:
+                    continue
+                S = T[:pos] + T[pos + 1:q] + (v,) + T[q:]
+                A, B = (Ir, S) if side else (S, Jp)
+                k = (m, A, B) if A <= B else (m, B, A)
+                sub = get(k)
+                if sub is None:
+                    sub = _rn(m, A, B, k, memo)
+                top = sub.numerator
+                if top:
+                    # (-1)^i_r / a + (-1)^j_0 / b = num / (a b), times
+                    # -(-1)^r from the recursion and (-1)^(q - pos - 1)
+                    # from sorting the sub-list
+                    a, b = x + ir + 2, x + j0 + 2
+                    num = (-b if ir % 2 else b) + (-a if j0 % 2 else a)
+                    if (r + q - pos) % 2:
+                        num = -num
+                    terms.append((num * top, a * b * sub.denominator))
+    L = lcm(*[d for _, d in terms])
+    val = memo[key] = Fraction(sum(t * (L // d) for t, d in terms), L)
+    return val
 
 
 def table1(n_max: int, allow_large: bool = False):
     """R_n at the diagonal I = J = (0, ..., n) for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if n_max > TABLE_MAX_DEFAULT and not allow_large:
-        raise ResourceError(
-            f"n_max = {n_max} beyond the default bound {TABLE_MAX_DEFAULT};"
-            " pass the opt-in flag to go further"
-        )
+    _check_bound("n_max", n_max, allow_large)
     out = []
     for n in range(1, n_max + 1):
         diag = tuple(range(n + 1))
-        out.append((n, rn(n, diag, diag)))
+        out.append((n, rn(n, diag, diag, allow_large=allow_large)))
     return out
 
 

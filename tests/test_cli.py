@@ -116,6 +116,18 @@ def test_parity_error_exit_code(capsys):
     assert "error[ParityError]" in err
 
 
+def test_remainder_resource_bound(capsys):
+    indices = ",".join(str(t) for t in range(10))
+    code, _, err = run(capsys, ["remainder", "--n", "9", "--I", indices, "--J", indices])
+    assert code == 2
+    assert "error[ResourceError]" in err
+    code, out, _ = run(
+        capsys, ["remainder", "--n", "1", "--I", "0,1", "--J", "0,1", "--allow-large"]
+    )
+    assert code == 0
+    assert out.strip() == "5/4"
+
+
 def test_unknown_algebra_exit_code(capsys):
     code, _, err = run(capsys, ["ope", "--algebra", "nope", "a", "b"])
     assert code == 2

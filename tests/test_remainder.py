@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from voa import linalg
+from voa import linalg, remainder
 from voa.errors import ParityError, ResourceError
 from voa.remainder import (
+    TABLE_MAX_DEFAULT,
     ScanResult,
     normalize_index_list,
     r1_closed_form,
@@ -23,6 +24,51 @@ TABLE = {
     5: Fraction(1391081, 4879637199360000),
     6: Fraction(40984649, 25145492674607585280000),
 }
+
+R7 = Fraction(-106186063, 159973389240949047988224000000)
+
+
+# -- reference: the term-by-term Fraction recursion --------------------------
+
+
+def _reference_rn(n, I, J, memo):
+    """R_n(I, J) on any lists, one Fraction operation per term, memo by canonical key."""
+    sI, I2 = normalize_index_list(I)
+    if sI == 0:
+        return Fraction(0)
+    sJ, J2 = normalize_index_list(J)
+    if sJ == 0:
+        return Fraction(0)
+    sign = sI * sJ
+    key = (n, I2, J2) if I2 <= J2 else (n, J2, I2)
+    hit = memo.get(key)
+    if hit is not None:
+        return sign * hit
+    if n == 1:
+        val = r1_closed_form(I2, J2)
+    else:
+        val = Fraction(0)
+        j0 = J2[0]
+        Jp = J2[1:]
+        for r in range(n + 1):
+            ir = I2[r]
+            Ir = I2[:r] + I2[r + 1:]
+            outer = (-1) ** r
+            shift = ir + j0 + 2
+            for pos in range(n):
+                ik = Ir[pos]
+                sub = _reference_rn(n - 1, Ir[:pos] + (ik + shift,) + Ir[pos + 1:], Jp, memo)
+                if sub:
+                    val -= outer * (-1) ** ir * sub / (ik + ir + 2)
+                    val -= outer * (-1) ** j0 * sub / (ik + j0 + 2)
+            for pos in range(n):
+                jl = Jp[pos]
+                sub = _reference_rn(n - 1, Ir, Jp[:pos] + (jl + shift,) + Jp[pos + 1:], memo)
+                if sub:
+                    val -= outer * (-1) ** ir * sub / (jl + ir + 2)
+                    val -= outer * (-1) ** j0 * sub / (jl + j0 + 2)
+    memo[key] = val
+    return sign * val
 
 
 def test_normalize_index_list():
@@ -59,6 +105,53 @@ def test_table1_resource_bound():
         table1(9)
     with pytest.raises(ValueError):
         table1(0)
+
+
+def test_rn_and_scan_resource_bound():
+    n = TABLE_MAX_DEFAULT + 1
+    diag = tuple(range(n + 1))
+    with pytest.raises(ResourceError):
+        rn(n, diag, diag)
+    with pytest.raises(ResourceError):
+        scan_f(n, n + 2)
+    assert rn(2, (0, 1, 2), (0, 1, 2), allow_large=True) == TABLE[2]
+
+
+def test_kernel_matches_reference_memo_through_n5():
+    remainder._MEMO.clear()
+    reference = {}
+    for n in range(1, 6):
+        diag = tuple(range(n + 1))
+        assert rn(n, diag, diag) == _reference_rn(n, diag, diag, reference) == TABLE[n]
+    assert remainder._MEMO.keys() == reference.keys()
+    for key, value in reference.items():
+        assert remainder._MEMO[key] == value, key
+
+
+def test_kernel_matches_reference_on_signed_inputs():
+    rng = random.Random(7)
+    reference = {}
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 3)
+        I = rng.sample(range(2 * n + 3), n + 1)
+        J = rng.sample(range(2 * n + 3), n + 1)
+        if (sum(I) + sum(J)) % 2:
+            continue
+        want = _reference_rn(n, I, J, reference)
+        assert rn(n, I, J) == want
+        assert rn(n, I, J, memoize=False) == want
+        assert rn(n, J, I) == want
+        assert rn(n, [I[1], I[0]] + I[2:], J) == -want
+        repeated = I[:-1] + [I[0]]
+        if (sum(repeated) + sum(J)) % 2 == 0:
+            assert rn(n, repeated, J) == 0
+        checked += 1
+
+
+def test_r7_regression():
+    diag = tuple(range(8))
+    assert rn(7, diag, diag) == R7
 
 
 def test_rn_validation():
@@ -99,6 +192,9 @@ def test_memoized_and_plain_agree():
     cases += [(3, (0, 1, 2, 3), (0, 1, 2, 3)), (1, (0, 2), (1, 3))]
     for n, I, J in cases:
         assert rn(n, I, J, memoize=True) == rn(n, I, J, memoize=False)
+    remainder._MEMO.clear()
+    assert rn(3, (0, 1, 2, 3), (0, 1, 2, 3), memoize=False) == TABLE[3]
+    assert not remainder._MEMO
 
 
 def test_scan_f_examples():

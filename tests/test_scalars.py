@@ -115,7 +115,7 @@ def test_text_rendering():
 def test_json_round_trip():
     a = scalar((1, Fraction(1, 2)), (3, 0, 1))
     data = a.to_json()
-    assert data == {"num": ["2/3", "1/3"], "den": ["2", "0", "2/3"]} or "num" in data
+    assert data == {"num": ["1", "1/2"], "den": ["3", "0", "1"]}
     assert LevelScalar.from_json(a.to_json()) == a
     assert LevelScalar.from_json(ZERO.to_json()) == ZERO
 
