@@ -76,5 +76,24 @@ from .orbifold import (
     sl2_tilde_q,
 )
 from .remainder import ScanResult, r1_closed_form, rn, scan_f, table1
+from . import orbifold, remainder, vertexcore
 
 __version__ = "0.1.0"
+
+
+def cache_stats() -> dict:
+    """Entry counts of the process-wide caches, as a new dict.
+
+    ``vertexcore._CACHES`` is counted per algebra name.  Reading the counts
+    changes no cache.
+    """
+    per_spec = {}
+    for spec, entries in list(vertexcore._CACHES.items()):
+        per_spec[spec.name] = per_spec.get(spec.name, 0) + len(entries)
+    return {
+        "remainder._MEMO": len(remainder._MEMO),
+        "vertexcore._CACHES": per_spec,
+        "vertexcore._SMALL": len(vertexcore._SMALL),
+        "orbifold._PR_CACHE": len(orbifold._PR_CACHE),
+        "orbifold._OMEGA_CACHE": len(orbifold._OMEGA_CACHE),
+    }

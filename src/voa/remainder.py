@@ -30,7 +30,7 @@ from math import lcm
 from .errors import ParityError, ResourceError
 
 #: n (and table entries) beyond this need the explicit opt-in flag
-TABLE_MAX_DEFAULT = 8
+TABLE_MAX_DEFAULT = 7
 
 
 def normalize_index_list(entries):

@@ -4,11 +4,19 @@ Every coefficient in the package is a ``LevelScalar``: a reduced fraction of
 polynomials in the formal level variable k, with rational coefficients.  The
 level is never a float; numeric levels enter only through ``evaluate_at`` on
 final results.
+
+A ``LevelPolynomial`` stores integer coefficients over one positive integer
+denominator, reduced so that the integers and the denominator have no common
+factor (the content and primitive part of von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 6).  Sums and products are integer work with one gcd
+reduction; ``Fraction``s appear only at the edges (``coeffs``, ``leading``,
+``evaluate``, rendering) and inside polynomial division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 #: k-degree of the zero scalar.  A float so that the degree laws
@@ -34,19 +42,23 @@ def rational_from_str(s: str) -> Fraction:
 
 
 class LevelPolynomial:
-    """Univariate polynomial in k over Q, stored as ascending coefficients.
+    """Univariate polynomial in k over Q: integer coefficients over one denominator.
 
-    Invariants: no trailing zero coefficients; the zero polynomial has an
-    empty coefficient tuple.
+    The value is ``sum(ints[i] * k**i) / den``.  Normal form: ``ints`` has no
+    trailing zero, ``den`` is positive and ``gcd(*ints, den) == 1``; the zero
+    polynomial is ``()`` over 1.  Equality and hashing use ``(ints, den)``.
     """
 
-    __slots__ = ("coeffs", "_h")
+    __slots__ = ("ints", "den", "_h")
 
     def __init__(self, coeffs: Iterable[Fraction] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of reduced denominators, gcd(*ints, den) is already 1
+        den = lcm(*[c.denominator for c in cs])
+        self.ints = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
         self._h = None
 
     # -- construction helpers -------------------------------------------------
@@ -57,74 +69,103 @@ class LevelPolynomial:
 
     @staticmethod
     def variable() -> "LevelPolynomial":
-        return LevelPolynomial((Fraction(0), Fraction(1)))
+        return _wrap((0, 1), 1)
 
     # -- structure ------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients as ``Fraction``s."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LevelPolynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, LevelPolynomial)
+            and self.ints == other.ints
+            and self.den == other.den
+        )
 
     def __hash__(self):
         if self._h is None:
-            self._h = hash(self.coeffs)
+            self._h = hash((self.ints, self.den))
         return self._h
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "LevelPolynomial") -> "LevelPolynomial":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da *= db // g
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return _mkpoly(out)
+        return _mkpoly(out, da)
 
     def __neg__(self) -> "LevelPolynomial":
-        return _mkpoly([-c for c in self.coeffs])
+        return _wrap(tuple(-c for c in self.ints), self.den)
 
     def __sub__(self, other: "LevelPolynomial") -> "LevelPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "LevelPolynomial") -> "LevelPolynomial":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if not a or not b:
             return _P_ZERO
-        out = [_F_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return _mkpoly(out)
+        if len(a) > len(b):
+            a, b = b, a
+        if len(b) == 1:
+            out = [a[0] * b[0]]
+        elif len(a) == 1:
+            x = a[0]
+            out = [x * c for c in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, c in enumerate(b, i):
+                        out[j] += x * c
+        return _mkpoly(out, self.den * other.den)
 
     def scale(self, q: Fraction) -> "LevelPolynomial":
-        if not q:
+        if not q or not self.ints:
             return _P_ZERO
-        return _mkpoly([c * q for c in self.coeffs])
+        n = q.numerator
+        return _mkpoly([c * n for c in self.ints], self.den * q.denominator)
 
     def __divmod__(self, other: "LevelPolynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
+        ocs = other.coeffs
         d = other.degree
-        lead = other.coeffs[-1]
+        lead = ocs[-1]
         quot = [_F_ZERO] * max(len(rem) - d, 0)
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
@@ -132,9 +173,9 @@ class LevelPolynomial:
                 continue
             f = c / lead
             quot[i - d] = f
-            for j, oc in enumerate(other.coeffs):
+            for j, oc in enumerate(ocs):
                 rem[i - d + j] -= f * oc
-        return _mkpoly(quot), _mkpoly(rem)
+        return LevelPolynomial(quot), LevelPolynomial(rem[:d])
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -143,17 +184,25 @@ class LevelPolynomial:
         return divmod(self, other)[0]
 
     def monic(self) -> "LevelPolynomial":
-        if self.is_zero():
+        ints = self.ints
+        if not ints or ints[-1] == self.den:
             return self
-        lead = self.coeffs[-1]
-        return self if lead == 1 else self.scale(1 / lead)
+        lead = ints[-1]
+        if lead < 0:
+            return _mkpoly([-c for c in ints], -lead)
+        return _mkpoly(list(ints), lead)
 
     def evaluate(self, k0) -> Fraction:
+        if not self.ints:
+            return _F_ZERO
         k0 = Fraction(k0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * k0 + c
-        return acc
+        p, q = k0.numerator, k0.denominator
+        # sum(c_i p^i q^(n-i)) / (q^n den), by Horner in p with powers of q
+        acc, qpow = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self.den * qpow // q)
 
     # -- rendering ------------------------------------------------------------
 
@@ -189,28 +238,41 @@ class LevelPolynomial:
 _F_ZERO = Fraction(0)
 
 
-def _mkpoly(cs: list) -> "LevelPolynomial":
-    """Internal constructor: coefficients already Fractions."""
-    while cs and not cs[-1]:
-        cs.pop()
+def _wrap(ints: tuple, den: int) -> LevelPolynomial:
+    """Internal constructor for ``(ints, den)`` already in normal form."""
     p = LevelPolynomial.__new__(LevelPolynomial)
-    p.coeffs = tuple(cs)
+    p.ints = ints
+    p.den = den
     p._h = None
     return p
 
 
-_P_ZERO = LevelPolynomial(())
-_P_ONE = LevelPolynomial((Fraction(1),))
+def _mkpoly(ints: list, den: int) -> LevelPolynomial:
+    """Internal constructor for ``den > 0``: strips trailing zeros, divides out the gcd."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _P_ZERO
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [c // g for c in ints]
+    return _wrap(tuple(ints), den)
+
+
+_P_ZERO = _wrap((), 1)
+_P_ONE = _wrap((1,), 1)
 
 
 def poly_gcd(a: LevelPolynomial, b: LevelPolynomial) -> LevelPolynomial:
     """Monic gcd via the Euclidean algorithm."""
     # a nonzero constant divides everything
-    if (a.coeffs and a.degree == 0) or (b.coeffs and b.degree == 0):
+    if len(a.ints) == 1 or len(b.ints) == 1:
         return _P_ONE
-    while not b.is_zero():
+    while b.ints:
         a, b = b, (a % b).monic()
-        if b.coeffs and b.degree == 0:
+        if len(b.ints) == 1:
             return _P_ONE
     return a.monic()
 
@@ -251,10 +313,10 @@ class LevelScalar:
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.ints
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.ints)
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
@@ -295,7 +357,7 @@ class LevelScalar:
         return LevelScalar(-self.num, self.den, _normalized=True)
 
     def __mul__(self, other: "LevelScalar") -> "LevelScalar":
-        if self.is_zero() or other.is_zero():
+        if not self.num.ints or not other.num.ints:
             return ZERO
         if self.den is _P_ONE and other.den is _P_ONE:
             return _mkscalar(self.num * other.num, _P_ONE)
@@ -389,7 +451,7 @@ def _normalize(num: LevelPolynomial, den: LevelPolynomial):
 
 def _mkscalar(num: LevelPolynomial, den: LevelPolynomial) -> "LevelScalar":
     """Internal constructor for inputs already in normal form."""
-    if not num.coeffs:
+    if not num.ints:
         return ZERO
     s = LevelScalar.__new__(LevelScalar)
     s.num = num
@@ -418,27 +480,20 @@ def _divisors(n: int):
 
 def rational_roots(p: LevelPolynomial) -> list:
     """All rational roots of p, exactly, via the rational root theorem."""
-    if p.is_zero():
+    ints = p.ints
+    if not ints:
         return []
     roots = set()
-    coeffs = list(p.coeffs)
     shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
+    while ints[shift] == 0:
         shift += 1
     if shift:
         roots.add(Fraction(0))
-    if len(coeffs) <= 1:
+    if shift == len(ints) - 1:
         return sorted(roots)
-    from math import lcm
-
-    denom_lcm = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * denom_lcm) for c in coeffs]
-    a0, an = ints[0], ints[-1]
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
+    for pnum in _divisors(ints[shift]):
+        for qden in _divisors(ints[-1]):
             for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
                 if p.evaluate(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-

@@ -103,6 +103,8 @@ def test_table1_values():
 def test_table1_resource_bound():
     with pytest.raises(ResourceError):
         table1(9)
+    with pytest.raises(ResourceError):
+        table1(8)
     with pytest.raises(ValueError):
         table1(0)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from voa.scalars import (
     LevelPolynomial,
     LevelScalar,
     PoleAtLevel,
+    _P_ONE,
+    _P_ZERO,
     poly_gcd,
     rational_roots,
 )
@@ -129,3 +132,234 @@ def test_rational_roots():
         Fraction(1),
     ]
     assert rational_roots(poly(2, 0, 1)) == []
+
+
+# -- independent path: the Fraction-tuple polynomial as a reference -------------
+
+
+class RefPoly:
+    """Ascending ``Fraction`` coefficients without trailing zeros: the
+    representation ``LevelPolynomial`` had before its integer form."""
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return RefPoly(out)
+
+    def scale(self, q):
+        return RefPoly(c * q for c in self.coeffs)
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        d = len(other.coeffs) - 1
+        lead = other.coeffs[-1]
+        quot = [Fraction(0)] * max(len(rem) - d, 0)
+        for i in range(len(rem) - 1, d - 1, -1):
+            f = rem[i] / lead
+            quot[i - d] = f
+            for j, oc in enumerate(other.coeffs):
+                rem[i - d + j] -= f * oc
+        return RefPoly(quot), RefPoly(rem)
+
+    def monic(self):
+        return self.scale(1 / self.coeffs[-1]) if self.coeffs else self
+
+    def evaluate(self, k0):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * k0 + c
+        return acc
+
+    def text(self):
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            a = abs(c)
+            a = str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
+            var = "" if j == 0 else ("k" if j == 1 else f"k^{j}")
+            body = a if j == 0 else (var if abs(c) == 1 else f"{a}*{var}")
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(parts) or "0"
+
+
+def ref_gcd(a, b):
+    while b.coeffs:
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def ref_roots(p):
+    """Rational roots by trying every p/q with p | a_0, q | a_n (a_0 != 0)."""
+    cs = list(p.coeffs)
+    roots = set()
+    while cs and cs[0] == 0:
+        cs.pop(0)
+        roots.add(Fraction(0))
+    if len(cs) > 1:
+        scale = 1
+        for c in cs:
+            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        a0, an = abs(int(cs[0] * scale)), abs(int(cs[-1] * scale))
+        for num in range(1, a0 + 1):
+            for den in range(1, an + 1):
+                if a0 % num == 0 and an % den == 0:
+                    for cand in (Fraction(num, den), Fraction(-num, den)):
+                        if p.evaluate(cand) == 0:
+                            roots.add(cand)
+    return sorted(roots)
+
+
+def ref_normal(num, den):
+    """The reduced, monic-denominator pair of ``num/den``, over ``RefPoly``."""
+    if not num.coeffs:
+        return RefPoly(()), RefPoly((1,))
+    g = ref_gcd(num, den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.coeffs[-1]
+    return num.scale(1 / lead), den.scale(1 / lead)
+
+
+def _random_coeffs(rng):
+    """Up to four coefficients with denominators to 6, at times with trailing zeros."""
+    cs = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.2:
+        cs += [Fraction(0)] * rng.randint(1, 2)
+    return cs
+
+
+def _pair(rng):
+    cs = _random_coeffs(rng)
+    return LevelPolynomial(cs), RefPoly(cs)
+
+
+def assert_matches(p, ref):
+    """``p`` is in normal form and has the reference's value."""
+    ints, den = p.ints, p.den
+    assert type(ints) is tuple and all(type(c) is int for c in ints)
+    assert type(den) is int and den > 0
+    assert not ints or ints[-1] != 0
+    assert math.gcd(den, *ints) == 1
+    assert p.coeffs == ref.coeffs
+    assert p.degree == len(ref.coeffs) - 1
+
+
+def test_integer_form_matches_fraction_reference():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        (a, ra), (b, rb) = _pair(rng), _pair(rng)
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert_matches(a, ra)
+        assert_matches(a + b, ra + rb)
+        assert_matches(a - b, ra - rb)
+        assert_matches((a + b) - a, rb)
+        assert_matches(-a, -ra)
+        assert_matches(a * b, ra * rb)
+        assert_matches(a.scale(q), ra.scale(q))
+        assert_matches(a.monic(), ra.monic())
+        if b:
+            quot, rem = divmod(a, b)
+            rquot, rrem = ra.divmod(rb)
+            assert_matches(quot, rquot)
+            assert_matches(rem, rrem)
+            assert_matches(poly_gcd(a * b, b), ref_gcd(ra * rb, rb))
+            assert_matches(poly_gcd(a, b), ref_gcd(ra, rb) if ra.coeffs else rb.monic())
+        assert a.evaluate(q) == ra.evaluate(q)
+        assert rational_roots(a * b) == ref_roots(ra * rb)
+        assert str(a) == ra.text()
+        assert a.to_json() == [f"{c.numerator}/{c.denominator}".removesuffix("/1") for c in ra.coeffs]
+        if a:
+            assert a.leading() == ra.coeffs[-1]
+
+
+def test_scalar_normal_form_matches_fraction_reference():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        (n, rn), (d, rd) = _pair(rng), _pair(rng)
+        if not d:
+            continue
+        s = LevelScalar(n, d)
+        rnum, rden = ref_normal(rn, rd)
+        assert_matches(s.num, rnum)
+        assert_matches(s.den, rden)
+        assert (s.den is _P_ONE) == (len(rden.coeffs) == 1)
+        (m, rm), (e, re) = _pair(rng), _pair(rng)
+        if not e:
+            continue
+        t = LevelScalar(m, e)
+        for got, (wn, wd) in (
+            (s + t, ref_normal(rn * re + rm * rd, rd * re)),
+            (s - t, ref_normal(rn * re - rm * rd, rd * re)),
+            (s * t, ref_normal(rn * rm, rd * re)),
+        ):
+            assert_matches(got.num, wn)
+            assert_matches(got.den, wd)
+
+
+def test_equal_polynomials_hash_equal_across_construction_paths():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        cs = _random_coeffs(rng)
+        p = LevelPolynomial(cs)
+        r = LevelPolynomial(_random_coeffs(rng)) or LevelPolynomial.variable()
+        q = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        for other in (
+            (p + r) - r,
+            p.scale(q).scale(1 / q),
+            divmod(p * r, r)[0],
+            LevelPolynomial.from_json(p.to_json()),
+            LevelPolynomial(cs + [Fraction(0)]),
+            -(-p),
+        ):
+            assert other == p and hash(other) == hash(p)
+        s = LevelScalar(p, r)
+        t = LevelScalar(p.scale(q), r.scale(q))
+        u = LevelScalar.from_json(s.to_json())
+        assert s == t == u and hash(s) == hash(t) == hash(u)
+
+
+def test_zero_polynomial_normal_form():
+    p = poly(Fraction(1, 2), Fraction(-3, 4))
+    for z in (
+        LevelPolynomial(),
+        LevelPolynomial([Fraction(0), Fraction(0)]),
+        p - p,
+        p + (-p),
+        p.scale(Fraction(0)),
+        p * LevelPolynomial(),
+        divmod(p * p, p)[1],
+        LevelPolynomial.from_json([]),
+    ):
+        assert z.ints == () and z.den == 1 and z.coeffs == ()
+        assert z == _P_ZERO and hash(z) == hash(_P_ZERO)
+        assert not z and z.degree == -1
+        assert str(z) == "0" and z.to_json() == []
+    z = LevelScalar(p - p, p)
+    assert z == ZERO and z.num.ints == () and z.den is _P_ONE

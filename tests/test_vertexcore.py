@@ -236,3 +236,25 @@ def test_state_text():
     assert vc.state_text(H1, a) == "a1(-2) a1(-1)"
     assert vc.state_text(H1, State.vacuum(K)) == "k"
     assert vc.state_text(H1, State.zero()) == "0"
+
+
+def test_cache_stats_counts_entries():
+    import voa
+    from voa import remainder
+
+    vc._CACHES.pop(SL2, None)
+    remainder._MEMO.clear()
+    before = voa.cache_stats()
+    assert before["remainder._MEMO"] == 0
+    assert before["vertexcore._CACHES"].get(SL2.name, 0) == 0
+    vc.circle_product(SL2, State.generator(X), 0, State.generator(Y))
+    remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3))
+    after = voa.cache_stats()
+    assert after["remainder._MEMO"] > 0
+    assert after["vertexcore._CACHES"][SL2.name] > 0
+    assert set(after) == {
+        "remainder._MEMO", "vertexcore._CACHES", "vertexcore._SMALL",
+        "orbifold._PR_CACHE", "orbifold._OMEGA_CACHE",
+    }
+    after["remainder._MEMO"] = -1
+    assert voa.cache_stats()["remainder._MEMO"] > 0
