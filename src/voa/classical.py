@@ -11,11 +11,12 @@ adjoint-sl2 cubics C_{klm}, with their determinantal relation families.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg
 from .liedata import ActionSpec
-from .terms import Terms, merge
+from .terms import Terms, merge, sort_sign, weighted_multisets
 
 # sl2 classical variable families, in the basis order of liedata.sl2_spec()
 SL2_X, SL2_Y, SL2_H = 0, 1, 2
@@ -84,22 +85,20 @@ class ClassicalPoly(Terms):
 
     def map_variables(self, fn) -> "ClassicalPoly":
         """Ring homomorphism determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
-        out = ClassicalPoly.zero()
-        for key, c in self.terms.items():
-            term = ClassicalPoly.constant(c)
-            for (i, j), e in key:
-                img = fn(i, j)
-                for _ in range(e):
-                    term = term * img
-            out = out + term
-        return out
+        return ClassicalPoly.sum(
+            math.prod(
+                (img for (i, j), e in key for img in itertools.repeat(fn(i, j), e)),
+                start=ClassicalPoly.constant(c),
+            )
+            for key, c in self.terms.items()
+        )
 
     def derive_variables(self, fn) -> "ClassicalPoly":
         """Derivation determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
-        out = ClassicalPoly.zero()
-        for (i, j) in sorted({v for k in self.terms for v, _ in k}):
-            out = out + self.partial(i, j) * fn(i, j)
-        return out
+        return ClassicalPoly.sum(
+            self.partial(i, j) * fn(i, j)
+            for (i, j) in sorted({v for k in self.terms for v, _ in k})
+        )
 
     def __repr__(self):
         if not self.terms:
@@ -120,10 +119,9 @@ def weyl_q(n: int, a: int, b: int) -> ClassicalPoly:
     """The orthogonal quadratic sum_i x_{i,a} x_{i,b} over n families."""
     if a < 0 or b < 0:
         raise ValueError("indices must be nonnegative")
-    out = ClassicalPoly.zero()
-    for i in range(n):
-        out = out + ClassicalPoly.variable(i, a) * ClassicalPoly.variable(i, b)
-    return out
+    return ClassicalPoly.sum(
+        ClassicalPoly.variable(i, a) * ClassicalPoly.variable(i, b) for i in range(n)
+    )
 
 
 def sl2_q(i: int, j: int) -> ClassicalPoly:
@@ -140,21 +138,15 @@ def sl2_c(k: int, l: int, m: int) -> ClassicalPoly:
         raise ValueError("need k < l < m")
     rows = (k, l, m)
     cols = (SL2_H, SL2_X, SL2_Y)
-    out = ClassicalPoly.zero()
-    for perm, sign in _signed_permutations(3):
-        term = ClassicalPoly.constant(sign)
-        for r in range(3):
-            term = term * ClassicalPoly.variable(cols[perm[r]], rows[r])
-        out = out + term
-    return out
+    return _determinant(ClassicalPoly, 3, lambda r, c: ClassicalPoly.variable(cols[c], rows[r]))
 
 
-def _signed_permutations(n):
-    for perm in itertools.permutations(range(n)):
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        yield perm, (-1) ** inv
+def _determinant(cls, n, entry):
+    """Leibniz expansion of the n x n determinant whose (r, c) entry is entry(r, c)."""
+    return cls.sum(
+        math.prod((entry(r, perm[r]) for r in range(n)), start=cls.constant(sort_sign(perm)[0]))
+        for perm in itertools.permutations(range(n))
+    )
 
 
 # -- the symbol algebra: Q_{a,b} and C_{klm} --------------------------------------
@@ -169,13 +161,10 @@ def q_symbol(a: int, b: int):
 
 def c_symbol(k: int, l: int, m: int):
     """Canonical C symbol with the permutation sign, or (None, 0) on repeats."""
-    idx = (k, l, m)
-    if len(set(idx)) < 3:
+    sign, order = sort_sign((k, l, m))
+    if not sign:
         return None, 0
-    order = tuple(sorted(idx))
-    perm = tuple(sorted(range(3), key=lambda t: idx[t]))
-    inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
-    return ("C",) + order, (-1) ** inv
+    return ("C",) + order, sign
 
 
 class QSymbolPoly(Terms):
@@ -225,40 +214,36 @@ def det_relation(n: int, I, J) -> QSymbolPoly:
     for lst in (I, J):
         if any(a < 0 for a in lst) or any(x >= y for x, y in zip(lst, lst[1:])):
             raise ValueError(f"index list {lst} is not strictly increasing and nonnegative")
-    out = QSymbolPoly.zero()
-    for perm, sign in _signed_permutations(n + 1):
-        term = QSymbolPoly.constant(sign)
-        for r in range(n + 1):
-            term = term * QSymbolPoly.q(I[r], J[perm[r]])
-        out = out + term
-    return out
+    return _q_determinant(I, J)
+
+
+def _q_determinant(rows, cols) -> QSymbolPoly:
+    """The determinant of the matrix (Q_{a,b}) with a in rows and b in cols."""
+    return _determinant(QSymbolPoly, len(rows), lambda r, c: QSymbolPoly.q(rows[r], cols[c]))
+
+
+def _substitute(p: QSymbolPoly, image) -> ClassicalPoly:
+    """The ring homomorphism determined by each symbol's image(sym)."""
+    return ClassicalPoly.sum(
+        math.prod(map(image, key), start=ClassicalPoly.constant(c))
+        for key, c in p.terms.items()
+    )
 
 
 def substitute(p: QSymbolPoly, n: int) -> ClassicalPoly:
     """The homomorphism Q_{a,b} -> q_{a,b} into the n-family orthogonal ring."""
-    out = ClassicalPoly.zero()
-    for key, c in p.terms.items():
-        term = ClassicalPoly.constant(c)
-        for sym in key:
-            if sym[0] != "Q":
-                raise ValueError("substitute handles Q symbols only; use substitute_sl2")
-            term = term * weyl_q(n, sym[1], sym[2])
-        out = out + term
-    return out
+
+    def image(sym):
+        if sym[0] != "Q":
+            raise ValueError("substitute handles Q symbols only; use substitute_sl2")
+        return weyl_q(n, sym[1], sym[2])
+
+    return _substitute(p, image)
 
 
 def substitute_sl2(p: QSymbolPoly) -> ClassicalPoly:
     """Q_{a,b} -> adjoint quadratic, C_{klm} -> adjoint cubic."""
-    out = ClassicalPoly.zero()
-    for key, c in p.terms.items():
-        term = ClassicalPoly.constant(c)
-        for sym in key:
-            if sym[0] == "Q":
-                term = term * sl2_q(sym[1], sym[2])
-            else:
-                term = term * sl2_c(sym[1], sym[2], sym[3])
-        out = out + term
-    return out
+    return _substitute(p, lambda sym: sl2_q(*sym[1:]) if sym[0] == "Q" else sl2_c(*sym[1:]))
 
 
 def sl2_relation_type1(i, j, k, l, m) -> QSymbolPoly:
@@ -278,35 +263,29 @@ def sl2_relation_type1(i, j, k, l, m) -> QSymbolPoly:
 
 def sl2_relation_type2(i, j, k, l, m, n) -> QSymbolPoly:
     """c_{ijk} c_{lmn} + 1/4 det of the 3x3 matrix q_{(i,j,k),(l,m,n)}."""
-    rows, cols = (i, j, k), (l, m, n)
-    det = QSymbolPoly.zero()
-    for perm, sign in _signed_permutations(3):
-        term = QSymbolPoly.constant(sign)
-        for r in range(3):
-            term = term * QSymbolPoly.q(rows[r], cols[perm[r]])
-        det = det + term
+    det = _q_determinant((i, j, k), (l, m, n))
     return QSymbolPoly.c(i, j, k) * QSymbolPoly.c(l, m, n) + det.scale(Fraction(1, 4))
 
 
 def q_symbol_derivative(p: QSymbolPoly) -> QSymbolPoly:
     """Symbol-level derivative: Q_{a,b} -> Q_{a+1,b} + Q_{a,b+1}, likewise on C."""
-    out = QSymbolPoly.zero()
-    for key, c in p.terms.items():
-        for t, sym in enumerate(key):
-            rest = key[:t] + key[t + 1:]
-            restpoly = QSymbolPoly({rest: c})
-            if sym[0] == "Q":
-                a, b = sym[1], sym[2]
-                bumped = QSymbolPoly.q(a + 1, b) + QSymbolPoly.q(a, b + 1)
-            else:
-                k_, l_, m_ = sym[1], sym[2], sym[3]
-                bumped = (
-                    QSymbolPoly.c(k_ + 1, l_, m_)
-                    + QSymbolPoly.c(k_, l_ + 1, m_)
-                    + QSymbolPoly.c(k_, l_, m_ + 1)
-                )
-            out = out + restpoly * bumped
-    return out
+
+    def bumped(sym):
+        if sym[0] == "Q":
+            a, b = sym[1], sym[2]
+            return QSymbolPoly.q(a + 1, b) + QSymbolPoly.q(a, b + 1)
+        k_, l_, m_ = sym[1], sym[2], sym[3]
+        return (
+            QSymbolPoly.c(k_ + 1, l_, m_)
+            + QSymbolPoly.c(k_, l_ + 1, m_)
+            + QSymbolPoly.c(k_, l_, m_ + 1)
+        )
+
+    return QSymbolPoly.sum(
+        QSymbolPoly({key[:t] + key[t + 1:]: c}) * bumped(sym)
+        for key, c in p.terms.items()
+        for t, sym in enumerate(key)
+    )
 
 
 # -- polarization and invariance ---------------------------------------------------
@@ -314,10 +293,9 @@ def q_symbol_derivative(p: QSymbolPoly) -> QSymbolPoly:
 
 def polarization(r: int, s: int, p: ClassicalPoly) -> ClassicalPoly:
     """The operator sum_i x_{i,r} d/dx_{i,s}, over the families appearing in p."""
-    out = ClassicalPoly.zero()
-    for i in p.families():
-        out = out + ClassicalPoly.variable(i, r) * p.partial(i, s)
-    return out
+    return ClassicalPoly.sum(
+        ClassicalPoly.variable(i, r) * p.partial(i, s) for i in p.families()
+    )
 
 
 def d_ring_derivative(p: ClassicalPoly) -> ClassicalPoly:
@@ -325,31 +303,20 @@ def d_ring_derivative(p: ClassicalPoly) -> ClassicalPoly:
     return p.derive_variables(lambda i, j: ClassicalPoly.variable(i, j + 1))
 
 
+def _family_image(M):
+    """x_{i,j} |-> sum over i2 of M[i2][i] x_{i2,j}: a matrix acting on the family index."""
+    return lambda i, j: ClassicalPoly.sum(
+        ClassicalPoly.variable(i2, j).scale(M[i2][i]) for i2 in range(len(M)) if M[i2][i]
+    )
+
+
 def lie_derivation(rho, p: ClassicalPoly) -> ClassicalPoly:
     """Derivation action of a Lie-algebra matrix on the family index."""
-    n = len(rho)
-
-    def image(i, j):
-        out = ClassicalPoly.zero()
-        for i2 in range(n):
-            if rho[i2][i]:
-                out = out + ClassicalPoly.variable(i2, j).scale(rho[i2][i])
-        return out
-
-    return p.derive_variables(image)
+    return p.derive_variables(_family_image(rho))
 
 
 def apply_finite(M, p: ClassicalPoly) -> ClassicalPoly:
-    n = len(M)
-
-    def image(i, j):
-        out = ClassicalPoly.zero()
-        for i2 in range(n):
-            if M[i2][i]:
-                out = out + ClassicalPoly.variable(i2, j).scale(M[i2][i])
-        return out
-
-    return p.map_variables(image)
+    return p.map_variables(_family_image(M))
 
 
 def lie_invariance_check(action: ActionSpec, p: ClassicalPoly) -> bool:
@@ -375,37 +342,23 @@ def dring_contains(p: ClassicalPoly, generators) -> bool:
         raise ValueError("membership test needs a weight-homogeneous polynomial")
     if p.is_zero():
         return True
-    gens = [g for g in generators if not g.is_zero()]
-    shifted = []
-    for gi, g in enumerate(gens):
+    shifted, weights = [], []  # each generator's derivatives up to weight w
+    for g in generators:
+        if g.is_zero():
+            continue
         gw = g.poly_weight()
-        d = g
         for t in range(0, w - gw + 1):
-            shifted.append((gw + t, d))
-            d = d_ring_derivative(d)
-    monos = []
-
-    def go(start, current, wleft):
-        if wleft == 0 and current:
-            monos.append(list(current))
-            return
-        for idx in range(start, len(shifted)):
-            fw, _ = shifted[idx]
-            if fw <= wleft:
-                current.append(idx)
-                go(idx, current, wleft - fw)
-                current.pop()
-
-    go(0, [], w)
-    if not monos:
+            shifted.append(g)
+            weights.append(gw + t)
+            g = d_ring_derivative(g)
+    columns = [
+        math.prod(mono, start=ClassicalPoly.constant(1)).terms
+        for mono in weighted_multisets(shifted, weights, w)
+        if mono
+    ]
+    if not columns:
         return False
-    columns = []
-    for mono in monos:
-        prod = ClassicalPoly.constant(1)
-        for idx in mono:
-            prod = prod * shifted[idx][1]
-        columns.append(prod)
-    return linalg.solve([q.terms for q in columns], p.terms, Fraction(0)) is not None
+    return linalg.solve(columns, p.terms, Fraction(0)) is not None
 
 
 def minimal_dring_generators(candidates) -> list:

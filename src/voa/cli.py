@@ -15,13 +15,15 @@ from fractions import Fraction
 
 from . import liedata, orbifold as ob, remainder as rm, verify as vf
 from . import vertexcore as vc
-from .errors import DescentStuck, ParityError, ResourceError
+from .errors import DescentStuck, ParityError, ResourceError, check_budget
 from .scalars import PoleAtLevel, rational_to_str
 from .vertexcore import State
 
 
-def _max_weight_cap() -> int:
-    return int(os.environ.get("VOA_MAX_WEIGHT", "12"))
+def _check_weight(quantity: str, weight: int):
+    """The VOA_MAX_WEIGHT budget (default 12) of the state-space commands."""
+    cap = int(os.environ.get("VOA_MAX_WEIGHT", "12"))
+    check_budget(quantity, weight, cap, "raise VOA_MAX_WEIGHT")
 
 
 def load_algebra(name: str):
@@ -129,10 +131,7 @@ def cmd_sugawara_check(args) -> int:
 def cmd_invariants(args) -> int:
     spec, config_action = load_algebra(args.algebra)
     action = resolve_action(spec, args.action, config_action)
-    if args.weight > _max_weight_cap():
-        raise ResourceError(
-            f"weight {args.weight} exceeds VOA_MAX_WEIGHT={_max_weight_cap()}"
-        )
+    _check_weight("weight", args.weight)
     basis = ob.invariant_subspace(spec, action, args.weight)
     payload = {
         "algebra": spec.name,
@@ -150,28 +149,23 @@ def cmd_invariants(args) -> int:
 def cmd_table1(args) -> int:
     values = rm.table1(args.n_max, allow_large=args.allow_large)
     payload = [{"n": n, "value": rational_to_str(v)} for n, v in values]
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for n, v in values:
-            print(f"R_{n} = {rational_to_str(v)}")
+    _emit(args, payload, [f"R_{n} = {rational_to_str(v)}" for n, v in values])
+    return 0
+
+
+def _emit_remainder(args, compute) -> int:
+    I, J = _parse_indices(args.I), _parse_indices(args.J)
+    value = rational_to_str(compute(I, J))
+    _emit(args, {"n": args.n, "I": list(I), "J": list(J), "value": value}, [value])
     return 0
 
 
 def cmd_remainder(args) -> int:
-    I, J = _parse_indices(args.I), _parse_indices(args.J)
-    value = rm.rn(args.n, I, J, allow_large=args.allow_large)
-    payload = {"n": args.n, "I": list(I), "J": list(J), "value": rational_to_str(value)}
-    _emit(args, payload, [rational_to_str(value)])
-    return 0
+    return _emit_remainder(args, lambda I, J: rm.rn(args.n, I, J, allow_large=args.allow_large))
 
 
 def cmd_remainder_direct(args) -> int:
-    I, J = _parse_indices(args.I), _parse_indices(args.J)
-    value = ob.remainder_direct(args.n, I, J)
-    payload = {"n": args.n, "I": list(I), "J": list(J), "value": rational_to_str(value)}
-    _emit(args, payload, [rational_to_str(value)])
-    return 0
+    return _emit_remainder(args, lambda I, J: ob.remainder_direct(args.n, I, J))
 
 
 def _parse_j_name(name: str) -> int:
@@ -186,14 +180,11 @@ def cmd_decouple(args) -> int:
     if not spec.is_abelian():
         raise ValueError("decouple search is wired for the abelian (heisenberg) case")
     action = resolve_action(spec, args.action, config_action)
+    target_m = _parse_j_name(args.target)
+    _check_weight("target weight", target_m + 2)
     n = spec.dim
     dictionary = ob.j_dictionary(n, [_parse_j_name(t) for t in args.dict.split(",")])
-    target_m = _parse_j_name(args.target)
     target = ob.j_gen(n, target_m)
-    if target_m + 2 > _max_weight_cap():
-        raise ResourceError(
-            f"target weight {target_m + 2} exceeds VOA_MAX_WEIGHT={_max_weight_cap()}"
-        )
     result = ob.decouple(spec, action, dictionary, target, max_degree=args.max_degree)
     if result is None:
         _emit(args, {"found": False}, ["no relation found within bounds"])

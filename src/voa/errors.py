@@ -15,3 +15,14 @@ class DescentStuck(RuntimeError):
 
 class ResourceError(RuntimeError):
     """A computation exceeds the configured weight budget."""
+
+
+def check_budget(quantity: str, value: int, bound: int, opt_in: str = None,
+                 allowed: bool = False):
+    """Raise ResourceError when value exceeds bound and the opt-in is not given.
+
+    The message names the quantity, its value, the bound and the opt-in.
+    """
+    if value > bound and not allowed:
+        hint = f"; {opt_in} to go further" if opt_in else ""
+        raise ResourceError(f"{quantity} = {value} exceeds the bound {bound}{hint}")

@@ -25,10 +25,6 @@ def mat(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return mat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
 @dataclass(frozen=True, eq=False)
 class LieSpec:
     """A Lie algebra with a symmetric invariant bilinear form.

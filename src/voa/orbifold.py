@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from . import linalg, vertexcore as vc
 from .classical import QSymbolPoly
-from .errors import DescentStuck, ParityError, ResourceError
+from .errors import DescentStuck, ParityError, check_budget
 from .liedata import ActionSpec, LieSpec, abelian, sl2_spec
 from .scalars import ONE, ZERO, LevelScalar
-from .terms import Terms, merge
+from .terms import Terms, merge, sort_sign, weighted_multisets
 from .vertexcore import State
 
 NopMono = tuple  # tuple of (symbol name, derivative count), canonically sorted
@@ -139,9 +139,6 @@ class GeneratorDictionary:
             self._deriv_cache[key] = hit
         return hit
 
-    def monomial_weight(self, mono: NopMono) -> int:
-        return sum(self[s].weight + t for s, t in mono)
-
     def monomial_degree(self, mono: NopMono) -> int:
         return sum(self[s].degree for s, t in mono)
 
@@ -164,12 +161,14 @@ def omega(n: int, a: int, b: int) -> State:
     if not (0 <= a <= b):
         raise ValueError("need 0 <= a <= b")
     spec = abelian(n)
-    out = State.zero()
-    for i in range(n):
-        fa = vc.nth_derivative(spec, State.generator(i), a)
-        fb = vc.nth_derivative(spec, State.generator(i), b)
-        out = out + vc.wick(spec, fa, fb)
-    return out
+    return State.sum(
+        vc.wick(
+            spec,
+            vc.nth_derivative(spec, State.generator(i), a),
+            vc.nth_derivative(spec, State.generator(i), b),
+        )
+        for i in range(n)
+    )
 
 
 def j_gen(n: int, m: int) -> State:
@@ -204,10 +203,11 @@ def sl2_tilde_q(i: int, j: int) -> State:
     def dgen(g, t):
         return vc.nth_derivative(spec, State.generator(g), t)
 
-    out = vc.wick(spec, dgen(h, i), dgen(h, j))
-    out = out + vc.wick(spec, dgen(x, i), dgen(y, j)).scale(2)
-    out = out + vc.wick(spec, dgen(y, i), dgen(x, j)).scale(2)
-    return out
+    return State.sum([
+        vc.wick(spec, dgen(h, i), dgen(h, j)),
+        vc.wick(spec, dgen(x, i), dgen(y, j)).scale(2),
+        vc.wick(spec, dgen(y, i), dgen(x, j)).scale(2),
+    ])
 
 
 def sl2_tilde_c(k: int, l: int, m: int) -> State:
@@ -220,17 +220,10 @@ def sl2_tilde_c(k: int, l: int, m: int) -> State:
     def dgen(g, t):
         return vc.nth_derivative(spec, State.generator(g), t)
 
-    out = State.zero()
-    for (a, b, c), sign in _signed_arrangements((k, l, m)):
-        out = out + vc.wick_chain(spec, [dgen(x, a), dgen(y, b), dgen(h, c)]).scale(sign)
-    return out
-
-
-def _signed_arrangements(idx):
-    base = list(idx)
-    for perm in itertools.permutations(range(3)):
-        inv = sum(1 for i in range(3) for j in range(i + 1, 3) if perm[i] > perm[j])
-        yield tuple(base[p] for p in perm), (-1) ** inv
+    return State.sum(
+        vc.wick_chain(spec, [dgen(x, a), dgen(y, b), dgen(h, c)]).scale(sort_sign((a, b, c))[0])
+        for a, b, c in itertools.permutations((k, l, m))
+    )
 
 
 # -- invariant subspaces -----------------------------------------------------------
@@ -238,24 +231,9 @@ def _signed_arrangements(idx):
 
 def _weight_monomials(n: int, w: int):
     """All canonical monomials of weight w, in increasing key order."""
-    out = []
-
-    def go(prefix, remaining, min_key):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        # keys (-depth, gen) must be nondecreasing along the monomial
-        for depth in range(remaining, 0, -1):
-            for g in range(n):
-                key = (-depth, g)
-                if key < min_key:
-                    continue
-                prefix.append((g, depth))
-                go(prefix, remaining - depth, key)
-                prefix.pop()
-
-    go([], w, (-w, -1))
-    return sorted(out)
+    # factors (gen, depth) in canonical order: depth descending, gen ascending
+    letters = [(g, depth) for depth in range(w, 0, -1) for g in range(n)]
+    return sorted(weighted_multisets(letters, [d for _, d in letters], w))
 
 
 def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
@@ -287,28 +265,19 @@ def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
 
 def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_degree: int):
     """All canonical NOP monomials of the given weight and bounded degree."""
-    alphabet = []
-    for sym in dictionary.symbols():
-        e = dictionary[sym]
-        for t in range(0, weight - e.weight + 1):
-            alphabet.append((sym, t, e.weight + t, e.degree))
-    alphabet.sort(key=lambda f: (f[0], f[1]))
-    out = []
-
-    def go(start, factors, wleft, dleft):
-        if wleft == 0:
-            if factors:
-                out.append(tuple((s, t) for s, t, _, _ in factors))
-            return
-        for idx in range(start, len(alphabet)):
-            sym, t, fw, fd = alphabet[idx]
-            if fw <= wleft and fd <= dleft:
-                factors.append(alphabet[idx])
-                go(idx, factors, wleft - fw, dleft - fd)
-                factors.pop()
-
-    go(0, [], weight, max_degree)
-    return sorted(out, key=lambda m: (dictionary.monomial_degree(m), m))
+    letters = sorted(
+        (sym, t)
+        for sym in dictionary.symbols()
+        for t in range(0, weight - dictionary[sym].weight + 1)
+    )
+    monos = weighted_multisets(
+        letters,
+        [dictionary[s].weight + t for s, t in letters],
+        weight,
+        [dictionary[s].degree for s, _ in letters],
+        max_degree,
+    )
+    return sorted((m for m in monos if m), key=lambda m: (dictionary.monomial_degree(m), m))
 
 
 def express_in_generators(target: State, dictionary: GeneratorDictionary,
@@ -347,23 +316,22 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
 # -- quantum corrections and remainders ----------------------------------------------
 
 
-def _default_symbol_name(sym) -> str:
+def _symbol_name(sym) -> str:
     if sym[0] == "Q":
         return omega_symbol(sym[1], sym[2])
     return f"Ct[{sym[1]},{sym[2]},{sym[3]}]"
 
 
-def normal_ordering(rel: QSymbolPoly, symbol_name=_default_symbol_name) -> FormalNOP:
+def normal_ordering(rel: QSymbolPoly) -> FormalNOP:
     """The canonical normal ordering: each symbol monomial becomes a Wick monomial."""
     terms = {}
     for key, c in rel.terms.items():
-        mono = tuple(sorted((symbol_name(sym), 0) for sym in key))
+        mono = tuple(sorted((_symbol_name(sym), 0) for sym in key))
         terms[mono] = terms.get(mono, ZERO) + LevelScalar.from_fraction(c)
     return FormalNOP(terms)
 
 
-def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary,
-                       symbol_name=_default_symbol_name) -> FormalNOP:
+def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> FormalNOP:
     """Extend a vanishing classical relation to an exactly vanishing NOP.
 
     Starting from a normal ordering of rel, repeatedly express the top
@@ -371,7 +339,7 @@ def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary,
     the evaluation is exactly zero.  Raises DescentStuck if some stage cannot
     be expressed.
     """
-    top = normal_ordering(rel, symbol_name)
+    top = normal_ordering(rel)
     residual = evaluate_nop(top, dictionary)
     result = top
     last_degree = None
@@ -460,7 +428,7 @@ def pr_coefficient(nop: FormalNOP, m: int) -> LevelScalar:
 REMAINDER_MAX_M = 14
 
 
-def remainder_direct(n: int, I, J, max_m: int = REMAINDER_MAX_M) -> Fraction:
+def remainder_direct(n: int, I, J) -> Fraction:
     """The remainder coefficient computed from scratch in the Heisenberg algebra.
 
     Builds the determinant relation, lifts it by quantum corrections, extracts
@@ -474,10 +442,7 @@ def remainder_direct(n: int, I, J, max_m: int = REMAINDER_MAX_M) -> Fraction:
     m = sum(I) + sum(J) + 2 * n
     if m % 2:
         raise ParityError(f"|I|+|J|+2n = {m} is odd; the remainder needs even weight index")
-    if m > max_m:
-        raise ResourceError(
-            f"weight index m={m} exceeds the budget {max_m} for direct computation"
-        )
+    check_budget("weight index m", m, REMAINDER_MAX_M)
     key = (n, m + 2)
     if key not in _OMEGA_CACHE:
         _OMEGA_CACHE[key] = omega_dictionary(n, m + 2)
@@ -515,7 +480,7 @@ def _check_invariant(spec, action, state, what):
 
 
 def decouple(spec: LieSpec, action: ActionSpec, dictionary: GeneratorDictionary,
-             target: State, max_degree: int = 6, check_invariance: bool = True):
+             target: State, max_degree: int = 6):
     """Express the target in the sub-dictionary, reporting excluded levels.
 
     Returns a DecoupleResult, or None when no relation exists within the
@@ -524,10 +489,9 @@ def decouple(spec: LieSpec, action: ActionSpec, dictionary: GeneratorDictionary,
     """
     from .scalars import rational_roots
 
-    if check_invariance:
-        _check_invariant(spec, action, target, "target")
-        for sym in dictionary.symbols():
-            _check_invariant(spec, action, dictionary[sym].state, f"generator {sym}")
+    _check_invariant(spec, action, target, "target")
+    for sym in dictionary.symbols():
+        _check_invariant(spec, action, dictionary[sym].state, f"generator {sym}")
     rel = express_in_generators(target, dictionary, max_degree)
     if rel is None:
         return None

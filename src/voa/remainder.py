@@ -27,25 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import ParityError, ResourceError
+from .errors import ParityError, check_budget
+from .terms import sort_sign
 
 #: n (and table entries) beyond this need the explicit opt-in flag
 TABLE_MAX_DEFAULT = 7
-
-
-def normalize_index_list(entries):
-    """(sign, sorted tuple); sign 0 and None for lists with repeated entries."""
-    entries = tuple(entries)
-    if len(set(entries)) < len(entries):
-        return 0, None
-    order = sorted(range(len(entries)), key=lambda t: entries[t])
-    inversions = sum(
-        1
-        for i in range(len(order))
-        for j in range(i + 1, len(order))
-        if order[i] > order[j]
-    )
-    return (-1) ** inversions, tuple(sorted(entries))
+_OPT_IN = "pass allow_large=True (--allow-large on the command line)"
 
 
 def r1_closed_form(I, J) -> Fraction:
@@ -90,9 +77,9 @@ def rn(n: int, I, J, memoize: bool = True, allow_large: bool = False) -> Fractio
         raise ValueError("indices must be nonnegative")
     if (sum(I) + sum(J)) % 2:
         raise ParityError(f"m = {sum(I) + sum(J) + 2 * n} is odd")
-    _check_bound("n", n, allow_large)
-    sI, I2 = normalize_index_list(I)
-    sJ, J2 = normalize_index_list(J)
+    check_budget("n", n, TABLE_MAX_DEFAULT, _OPT_IN, allow_large)
+    sI, I2 = sort_sign(I)
+    sJ, J2 = sort_sign(J)
     if sI == 0 or sJ == 0:
         return Fraction(0)
     memo = _MEMO if memoize else {}
@@ -101,14 +88,6 @@ def rn(n: int, I, J, memoize: bool = True, allow_large: bool = False) -> Fractio
     if val is None:
         val = _rn(n, I2, J2, key, memo)
     return sI * sJ * val
-
-
-def _check_bound(name, n, allow_large):
-    if n > TABLE_MAX_DEFAULT and not allow_large:
-        raise ResourceError(
-            f"{name} = {n} beyond the default bound {TABLE_MAX_DEFAULT};"
-            " pass the opt-in flag to go further"
-        )
 
 
 def _rn(n, I, J, key, memo) -> Fraction:
@@ -158,7 +137,7 @@ def table1(n_max: int, allow_large: bool = False):
     """R_n at the diagonal I = J = (0, ..., n) for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    _check_bound("n_max", n_max, allow_large)
+    check_budget("n_max", n_max, TABLE_MAX_DEFAULT, _OPT_IN, allow_large)
     out = []
     for n in range(1, n_max + 1):
         diag = tuple(range(n + 1))

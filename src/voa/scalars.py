@@ -37,10 +37,6 @@ def rational_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class LevelPolynomial:
     """Univariate polynomial in k over Q: integer coefficients over one denominator.
 
@@ -304,12 +300,6 @@ class LevelScalar:
             return ONE
         return LevelScalar(LevelPolynomial.constant(q), _P_ONE, _normalized=True)
 
-    from_int = from_fraction
-
-    @staticmethod
-    def from_polynomial(p: LevelPolynomial) -> "LevelScalar":
-        return LevelScalar(p, _P_ONE, _normalized=True)
-
     # -- structure ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -379,14 +369,6 @@ class LevelScalar:
         if self.is_zero():
             raise ZeroDivisionError("division by the zero scalar")
         return LevelScalar(self.den, self.num)
-
-    def __pow__(self, e: int) -> "LevelScalar":
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = ONE
-        for _ in range(e):
-            out = out * self
-        return out
 
     def scale(self, q) -> "LevelScalar":
         q = Fraction(q)

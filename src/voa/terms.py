@@ -6,6 +6,10 @@ exact coefficients.  The map is a dict that never holds a zero value, and
 every operation drops the terms that cancel.  Subclasses supply their keys,
 their products and their rendering; ``coerce`` turns an input coefficient
 (an int, say) into the subclass's coefficient type.
+
+Two helpers build the keys: ``sort_sign`` sorts an index list with the sign
+of the sorting permutation, and ``weighted_multisets`` lists the monomials of
+one weight over an alphabet of weighted letters.
 """
 
 from __future__ import annotations
@@ -62,6 +66,17 @@ class Terms:
         return obj
 
     @classmethod
+    def sum(cls, items):
+        """The sum of the items, accumulated in place in one dict.
+
+        Keys come in the order of a left fold of ``+`` over the items.
+        """
+        acc = {}
+        for item in items:
+            merge(acc, item.terms)
+        return cls.wrap(acc)
+
+    @classmethod
     def zero(cls):
         return cls.wrap({})
 
@@ -97,3 +112,47 @@ class Terms:
 
     def __rmul__(self, c):
         return self.scale(c)
+
+
+def sort_sign(entries):
+    """(sign, sorted tuple): the sign of the permutation that sorts the
+    entries, or 0 when an entry repeats."""
+    entries = tuple(entries)
+    ordered = tuple(sorted(entries))
+    if len(set(ordered)) < len(ordered):
+        return 0, ordered
+    inversions = sum(1 for t, x in enumerate(entries) for y in entries[t + 1:] if x > y)
+    return (-1) ** inversions, ordered
+
+
+def weighted_multisets(letters, weights, total, degrees=None, max_degree=0):
+    """Every multiset of letters whose weights sum to ``total``.
+
+    ``letters``, ``weights`` and ``degrees`` are parallel sequences.  Each
+    multiset is a tuple of letters in the order of ``letters``, and they come
+    in lexicographic order of their index tuples; the empty multiset is the
+    one of total 0.  With ``degrees``, a multiset whose degrees sum past
+    ``max_degree`` is pruned as it is built.  A letter of weight below 1
+    would repeat without end and raises ``ValueError``.
+    """
+    for letter, w in zip(letters, weights):
+        if w < 1:
+            raise ValueError(f"letter {letter!r} has weight {w}; weights must be positive")
+    if degrees is None:
+        degrees = [0] * len(letters)
+    out = []
+    prefix = []
+
+    def extend(start, wleft, dleft):
+        if wleft == 0:
+            out.append(tuple(prefix))
+            return
+        for idx in range(start, len(letters)):
+            w, d = weights[idx], degrees[idx]
+            if w <= wleft and d <= dleft:
+                prefix.append(letters[idx])
+                extend(idx, wleft - w, dleft - d)
+                prefix.pop()
+
+    extend(0, total, max_degree)
+    return out

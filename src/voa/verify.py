@@ -17,6 +17,7 @@ from . import classical as cl
 from . import liedata, linalg, orbifold as ob, remainder as rm
 from . import vertexcore as vc
 from .scalars import K, LevelScalar, rational_to_str
+from .terms import weighted_multisets
 from .vertexcore import State
 
 TABLE1_EXPECTED = [
@@ -214,11 +215,12 @@ def suite_axioms(seed: int = 20260811, instances_per_spec: int = 14) -> SuiteRes
                     lhs = lhs - vc.circle_product(
                         spec, b, n, vc.circle_product(spec, a, m, c)
                     )
-                    rhs = State.zero()
-                    for i in range(m + 1):
-                        rhs = rhs + vc.circle_product(
+                    rhs = State.sum(
+                        vc.circle_product(
                             spec, vc.circle_product(spec, a, i, b), m + n - i, c
                         ).scale(math.comb(m, i))
+                        for i in range(m + 1)
+                    )
                     ok = ok and lhs == rhs
                     inst += 1
             res.add(f"{spec.name}#{it}: commutator formula", ok)
@@ -305,35 +307,12 @@ def suite_classical(seed: int = 4071) -> SuiteResult:
 
 def classical_graded_dimension(n: int, w: int) -> int:
     """dim of the weight-w piece of the q-generated ring, via substitution rank."""
-    syms = []
-    for tot in range(2, w + 1):
-        m = tot - 2
-        for a in range(0, m // 2 + 1):
-            syms.append((a, m - a))
-    monos = []
-
-    def go(start, current, wleft):
-        if wleft == 0:
-            monos.append(tuple(current))
-            return
-        for idx in range(start, len(syms)):
-            a, b = syms[idx]
-            cost = a + b + 2
-            if cost <= wleft:
-                current.append(syms[idx])
-                go(idx, current, wleft - cost)
-                current.pop()
-
-    go(0, [], w)
-    if not monos:
-        return 1 if w == 0 else 0
-    polys = []
-    for mono in monos:
-        p = cl.ClassicalPoly.constant(1)
-        for a, b in mono:
-            p = p * cl.weyl_q(n, a, b)
-        polys.append(p)
-    return linalg.rank([p.terms for p in polys])
+    syms = [(a, tot - 2 - a) for tot in range(2, w + 1) for a in range(0, (tot - 2) // 2 + 1)]
+    monos = weighted_multisets(syms, [a + b + 2 for a, b in syms], w)
+    return linalg.rank([
+        math.prod((cl.weyl_q(n, a, b) for a, b in mono), start=cl.ClassicalPoly.constant(1)).terms
+        for mono in monos
+    ])
 
 
 def suite_invariant_dims() -> SuiteResult:

@@ -340,10 +340,8 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     except ValueError:
         raise ValueError("bilinear form is not invertible; no Sugawara vector")
     pref = ONE / ((K + LevelScalar.from_fraction(h_dual)).scale(2))
-    total = State.zero()
-    for i in range(n):
-        dual = State({((j, 1),): binv[j][i] for j in range(n) if binv[j][i]})
-        total = total + wick(spec, State.generator(i), dual)
+    duals = [State({((j, 1),): binv[j][i] for j in range(n) if binv[j][i]}) for i in range(n)]
+    total = State.sum(wick(spec, State.generator(i), dual) for i, dual in enumerate(duals))
     return total.scale(pref)
 
 

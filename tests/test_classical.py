@@ -138,6 +138,18 @@ def test_minimal_dring_generators():
     assert not cl.dring_contains(cl.weyl_q(1, 0, 2), [cl.weyl_q(1, 0, 0)])
 
 
+def test_dring_contains_rejects_weight_zero_generator():
+    # a constant generator never lowers the remaining weight
+    with pytest.raises(ValueError, match="weight 0"):
+        cl.dring_contains(cl.weyl_q(1, 0, 0), [ClassicalPoly.constant(1)])
+
+
+def test_minimal_dring_generators_rejects_weight_zero_candidate():
+    # the constant survives as the first candidate, then cannot generate
+    with pytest.raises(ValueError, match="letter 2 has weight 0"):
+        cl.minimal_dring_generators([ClassicalPoly.constant(2), cl.weyl_q(1, 0, 0)])
+
+
 def test_poly_gradings():
     p = cl.weyl_q(2, 1, 2)
     assert p.poly_degree() == 2

@@ -128,6 +128,12 @@ def test_remainder_resource_bound(capsys):
     assert out.strip() == "5/4"
 
 
+def test_remainder_direct_resource_bound(capsys):
+    code, out, err = run(capsys, ["remainder-direct", "--n", "1", "--I", "0,9", "--J", "0,9"])
+    assert code == 2 and out == ""
+    assert "error[ResourceError]: weight index m = 20 exceeds the bound 14" in err
+
+
 def test_unknown_algebra_exit_code(capsys):
     code, _, err = run(capsys, ["ope", "--algebra", "nope", "a", "b"])
     assert code == 2

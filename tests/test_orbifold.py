@@ -96,6 +96,14 @@ def test_evaluate_nop_examples():
         ob.evaluate_nop(ob.FormalNOP.single("Nope[0]"), d)
 
 
+def test_express_in_generators_rejects_weight_zero_generator():
+    d = ob.GeneratorDictionary(H1)
+    d.add("One", State.vacuum())
+    d.add(ob.j_symbol(0), ob.j_gen(1, 0))
+    with pytest.raises(ValueError, match=r"\('One', 0\) has weight 0"):
+        ob.express_in_generators(ob.j_gen(1, 0), d, 2)
+
+
 def test_express_in_generators_examples():
     d = ob.GeneratorDictionary(H1)
     d.add("Om[0,0]", ob.omega(1, 0, 0))

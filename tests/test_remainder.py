@@ -6,10 +6,10 @@ import pytest
 
 from voa import linalg, remainder
 from voa.errors import ParityError, ResourceError
+from voa.terms import sort_sign
 from voa.remainder import (
     TABLE_MAX_DEFAULT,
     ScanResult,
-    normalize_index_list,
     r1_closed_form,
     rn,
     scan_f,
@@ -33,10 +33,10 @@ R7 = Fraction(-106186063, 159973389240949047988224000000)
 
 def _reference_rn(n, I, J, memo):
     """R_n(I, J) on any lists, one Fraction operation per term, memo by canonical key."""
-    sI, I2 = normalize_index_list(I)
+    sI, I2 = sort_sign(I)
     if sI == 0:
         return Fraction(0)
-    sJ, J2 = normalize_index_list(J)
+    sJ, J2 = sort_sign(J)
     if sJ == 0:
         return Fraction(0)
     sign = sI * sJ
@@ -69,13 +69,6 @@ def _reference_rn(n, I, J, memo):
                     val -= outer * (-1) ** j0 * sub / (jl + j0 + 2)
     memo[key] = val
     return sign * val
-
-
-def test_normalize_index_list():
-    assert normalize_index_list((0, 1, 2)) == (1, (0, 1, 2))
-    assert normalize_index_list((2, 0, 1)) == (1, (0, 1, 2))
-    assert normalize_index_list((1, 0)) == (-1, (0, 1))
-    assert normalize_index_list((1, 1, 2)) == (0, None)
 
 
 def test_r1_examples():
