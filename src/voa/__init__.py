@@ -97,3 +97,16 @@ def cache_stats() -> dict:
         "orbifold._PR_CACHE": len(orbifold._PR_CACHE),
         "orbifold._OMEGA_CACHE": len(orbifold._OMEGA_CACHE),
     }
+
+
+def clear_caches() -> None:
+    """Empty every cache that ``cache_stats`` counts.
+
+    The caches hold pure functions of their keys, so later calls recompute
+    the same values.
+    """
+    remainder._MEMO.clear()
+    vertexcore._CACHES.clear()
+    vertexcore._SMALL.clear()
+    orbifold._PR_CACHE.clear()
+    orbifold._OMEGA_CACHE.clear()

@@ -340,8 +340,8 @@ def dring_contains(p: ClassicalPoly, generators) -> bool:
     w = p.poly_weight()
     if w is None:
         raise ValueError("membership test needs a weight-homogeneous polynomial")
-    if p.is_zero():
-        return True
+    if p.is_zero() or w == 0:
+        return True  # a unital ring contains the constants
     shifted, weights = [], []  # each generator's derivatives up to weight w
     for g in generators:
         if g.is_zero():

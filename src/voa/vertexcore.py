@@ -204,7 +204,16 @@ def _binom_int(j: int, m: int) -> int:
     return num // math.factorial(m)
 
 
-def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State) -> State:
+def _shared_action(spec: LieSpec, actions: dict, i: int, n: int, v: State) -> State:
+    """mode_action through the memo of one circle product."""
+    key = (i, n, v)
+    hit = actions.get(key)
+    if hit is None:
+        hit = actions[key] = mode_action(spec, i, n, v)
+    return hit
+
+
+def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State, actions: dict) -> State:
     if not amono:
         return b if n == -1 else State.zero()
     if b.is_zero():
@@ -222,20 +231,21 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State) -> State:
     acc = {}
     # creation-side sum: j = n-1-p <= -1 runs over p with u o_p b nonzero
     for p in range(n, wu + wb):
-        inner = _cp_mono(spec, u, p, b)
+        inner = _cp_mono(spec, u, p, b, actions)
         if inner.is_zero():
             continue
         j = n - 1 - p
         coef = sign * _binom_int(j, m)
         if coef:
-            merge(acc, mode_action(spec, i, j - m, inner).terms, coerce_scalar(coef))
+            xu = _shared_action(spec, actions, i, j - m, inner)
+            merge(acc, xu.terms, coerce_scalar(coef))
     # annihilation-side sum: X^i(j-m) hits b first
     for j in range(m, m + wb + 1):
         coef = sign * _binom_int(j, m)
-        xb = mode_action(spec, i, j - m, b)
+        xb = _shared_action(spec, actions, i, j - m, b)
         if xb.is_zero():
             continue
-        inner = _cp_mono(spec, u, n - j - 1, xb)
+        inner = _cp_mono(spec, u, n - j - 1, xb, actions)
         if not inner.is_zero():
             merge(acc, inner.terms, coerce_scalar(coef))
     result = State.wrap(acc)
@@ -244,10 +254,15 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State) -> State:
 
 
 def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
-    """The n-th circle product a o_n b, exact over Q(k)."""
+    """The n-th circle product a o_n b, exact over Q(k).
+
+    The mode actions X^i(n) v met in the recursion are shared by the
+    monomials of a through a memo that lives for this one call.
+    """
+    actions = {}
     acc = {}
     for amono, c in a.terms.items():
-        merge(acc, _cp_mono(spec, amono, n, b).terms, c)
+        merge(acc, _cp_mono(spec, amono, n, b, actions).terms, c)
     return State.wrap(acc)
 
 

@@ -145,9 +145,10 @@ def test_dring_contains_rejects_weight_zero_generator():
 
 
 def test_minimal_dring_generators_rejects_weight_zero_candidate():
-    # the constant survives as the first candidate, then cannot generate
-    with pytest.raises(ValueError, match="letter 2 has weight 0"):
-        cl.minimal_dring_generators([ClassicalPoly.constant(2), cl.weyl_q(1, 0, 0)])
+    # a unital ring contains the constants, so a constant candidate is dropped
+    assert cl.dring_contains(ClassicalPoly.constant(3), [])
+    got = cl.minimal_dring_generators([ClassicalPoly.constant(2), cl.weyl_q(1, 0, 0)])
+    assert got == [cl.weyl_q(1, 0, 0)]
 
 
 def test_poly_gradings():

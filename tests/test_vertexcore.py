@@ -58,6 +58,33 @@ def test_circle_examples():
         assert vc.circle_product(H1, a, n, vac) == want
 
 
+def test_circle_products_of_multi_monomial_states_are_pinned():
+    from voa.orbifold import omega
+
+    got = vc.wick(H1, vc.derivative(H1, omega(1, 0, 2)), omega(1, 1, 1))
+    assert vc.state_to_json(H1, got) == {
+        "algebra": "heisenberg1",
+        "terms": [
+            {"monomial": [[0, 3], [0, 2], [0, 2], [0, 2]], "coeff": {"num": ["2"], "den": ["1"]}},
+            {"monomial": [[0, 4], [0, 2], [0, 2], [0, 1]], "coeff": {"num": ["6"], "den": ["1"]}},
+            {"monomial": [[0, 7], [0, 2]], "coeff": {"num": ["0", "168"], "den": ["1"]}},
+        ],
+    }
+    a = vc.wick(SL2, State.generator(X), State.generator(Y)) + vc.derivative(
+        SL2, State.generator(H)
+    )
+    b = vc.wick(SL2, State.generator(Y), State.generator(H)) + st(((X, 2),), 3)
+    assert vc.state_to_json(SL2, vc.circle_product(SL2, a, 1, b)) == {
+        "algebra": "sl2",
+        "terms": [
+            {"monomial": [[0, 1], [2, 1]], "coeff": {"num": ["-3"], "den": ["1"]}},
+            {"monomial": [[0, 2]], "coeff": {"num": ["-6", "6"], "den": ["1"]}},
+            {"monomial": [[1, 1], [2, 1]], "coeff": {"num": ["8", "1"], "den": ["1"]}},
+            {"monomial": [[1, 2]], "coeff": {"num": ["-4", "2"], "den": ["1"]}},
+        ],
+    }
+
+
 def test_wick_and_derivative_examples():
     alpha = State.generator(0)
     assert vc.wick(H1, alpha, alpha) == st(((0, 1), (0, 1)))
@@ -258,3 +285,51 @@ def test_cache_stats_counts_entries():
     }
     after["remainder._MEMO"] = -1
     assert voa.cache_stats()["remainder._MEMO"] > 0
+
+
+def test_clear_caches_empties_every_counted_cache():
+    import voa
+    from voa import remainder
+
+    xy = vc.wick(SL2, State.generator(X), State.generator(Y))
+
+    def products():
+        return (
+            remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3)),
+            vc.circle_product(SL2, xy, 1, State.generator(H).scale(K)),
+        )
+
+    before = products()
+    voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
+    assert voa.cache_stats()["orbifold._OMEGA_CACHE"] > 0
+    voa.clear_caches()
+    stats = voa.cache_stats()
+    assert stats.pop("vertexcore._CACHES") == {}
+    assert stats == dict.fromkeys(stats, 0)
+    assert products() == before
+
+
+def test_circle_product_shares_mode_actions_within_one_call(monkeypatch):
+    import voa
+
+    calls = []
+    plain = vc.mode_action
+
+    def counted(spec, i, n, v):
+        calls.append((i, n, v))
+        return plain(spec, i, n, v)
+
+    monkeypatch.setattr(vc, "mode_action", counted)
+    a = vc.wick(SL2, State.generator(X), State.generator(Y)) + vc.derivative(
+        SL2, State.generator(H)
+    )
+    b = vc.wick(SL2, State.generator(Y), vc.wick(SL2, State.generator(H), State.generator(X)))
+    counts = []
+    for _ in range(2):
+        voa.clear_caches()
+        calls.clear()
+        vc.circle_product(SL2, a + State.zero(), -1, b + State.zero())
+        assert calls and len(set(calls)) == len(calls)
+        counts.append(len(calls))
+    # the memo does not outlive a call: the second call evaluates as much
+    assert counts[0] == counts[1]
