@@ -94,7 +94,6 @@ def cache_stats() -> dict:
         "remainder._MEMO": len(remainder._MEMO),
         "vertexcore._CACHES": per_spec,
         "vertexcore._SMALL": len(vertexcore._SMALL),
-        "orbifold._PR_CACHE": len(orbifold._PR_CACHE),
         "orbifold._OMEGA_CACHE": len(orbifold._OMEGA_CACHE),
     }
 
@@ -108,5 +107,4 @@ def clear_caches() -> None:
     remainder._MEMO.clear()
     vertexcore._CACHES.clear()
     vertexcore._SMALL.clear()
-    orbifold._PR_CACHE.clear()
     orbifold._OMEGA_CACHE.clear()

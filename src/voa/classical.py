@@ -22,10 +22,22 @@ from .terms import Terms, merge, sort_sign, weighted_multisets
 SL2_X, SL2_Y, SL2_H = 0, 1, 2
 
 
-class ClassicalPoly(Terms):
-    """Exact polynomial in the variables x_{i,j}; terms map exponent keys to Q.
+def _product(self, other):
+    """Product of two polynomials whose keys are sorted tuples of variables,
+    each repeated as often as its exponent."""
+    out = {}
+    for k1, c1 in self.terms.items():
+        # k1 * k2 is distinct for distinct k2: no collisions
+        row = {tuple(sorted(k1 + k2)): c2 for k2, c2 in other.terms.items()}
+        merge(out, row, c1)
+    return self.wrap(out)
 
-    A key is a sorted tuple of ((i, j), exponent) pairs.
+
+class ClassicalPoly(Terms):
+    """Exact polynomial in the variables x_{i,j}; terms map monomial keys to Q.
+
+    A key is the sorted tuple of the variables (i, j) of the monomial, each
+    repeated as often as its exponent.
     """
 
     __slots__ = ()
@@ -34,62 +46,42 @@ class ClassicalPoly(Terms):
 
     @staticmethod
     def variable(i: int, j: int) -> "ClassicalPoly":
-        return ClassicalPoly({(((i, j), 1),): Fraction(1)})
+        return ClassicalPoly({((i, j),): Fraction(1)})
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __mul__(self, other: "ClassicalPoly") -> "ClassicalPoly":
-        out = {}
-        for k1, c1 in self.terms.items():
-            row = {}  # k1 * k2 is distinct for distinct k2: no collisions
-            for k2, c2 in other.terms.items():
-                exps = dict(k1)
-                for var, e in k2:
-                    exps[var] = exps.get(var, 0) + e
-                row[tuple(sorted(exps.items()))] = c2
-            merge(out, row, c1)
-        return ClassicalPoly.wrap(out)
+    __mul__ = _product
 
     # -- gradings ------------------------------------------------------------
 
     def poly_degree(self) -> int:
-        return max((sum(e for _, e in k) for k in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def poly_weight(self):
-        """Common weight sum((j+1)*e); None when inhomogeneous, 0 when zero."""
-        ws = {sum((j + 1) * e for (_, j), e in k) for k in self.terms}
+        """Common weight sum(j+1) over a key; None when inhomogeneous, 0 when zero."""
+        ws = {sum(j + 1 for _, j in k) for k in self.terms}
         if not ws:
             return 0
         return ws.pop() if len(ws) == 1 else None
 
     def families(self):
-        return sorted({i for k in self.terms for (i, _), _ in k})
+        return sorted({i for k in self.terms for i, _ in k})
 
     # -- derivations and substitutions ----------------------------------------
 
     def partial(self, i: int, j: int) -> "ClassicalPoly":
-        # lowering the exponent of x_{i,j} maps distinct keys to distinct keys
+        # removing one copy of x_{i,j} maps distinct keys to distinct keys
+        var = (i, j)
         out = {}
         for key, c in self.terms.items():
-            exps = dict(key)
-            e = exps.get((i, j), 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[(i, j)]
-            else:
-                exps[(i, j)] = e - 1
-            out[tuple(sorted(exps.items()))] = c * e
+            e = key.count(var)
+            if e:
+                t = key.index(var)
+                out[key[:t] + key[t + 1:]] = c * e
         return ClassicalPoly.wrap(out)
 
     def map_variables(self, fn) -> "ClassicalPoly":
         """Ring homomorphism determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
         return ClassicalPoly.sum(
-            math.prod(
-                (img for (i, j), e in key for img in itertools.repeat(fn(i, j), e)),
-                start=ClassicalPoly.constant(c),
-            )
+            math.prod((fn(i, j) for i, j in key), start=ClassicalPoly.constant(c))
             for key, c in self.terms.items()
         )
 
@@ -97,7 +89,7 @@ class ClassicalPoly(Terms):
         """Derivation determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
         return ClassicalPoly.sum(
             self.partial(i, j) * fn(i, j)
-            for (i, j) in sorted({v for k in self.terms for v, _ in k})
+            for (i, j) in sorted({v for k in self.terms for v in k})
         )
 
     def __repr__(self):
@@ -106,7 +98,8 @@ class ClassicalPoly(Terms):
         parts = []
         for key, c in sorted(self.terms.items()):
             factors = "".join(
-                f"x[{i},{j}]" + (f"^{e}" if e > 1 else "") for (i, j), e in key
+                f"x[{i},{j}]" + (f"^{e}" if e > 1 else "")
+                for (i, j), e in ((v, len(list(g))) for v, g in itertools.groupby(key))
             )
             parts.append(f"{c}" if not factors else f"{c}*{factors}")
         return " + ".join(parts)
@@ -186,13 +179,7 @@ class QSymbolPoly(Terms):
             return QSymbolPoly.zero()
         return QSymbolPoly({(sym,): Fraction(sign)})
 
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            # k1 * k2 is distinct for distinct k2: no collisions
-            row = {tuple(sorted(k1 + k2)): c2 for k2, c2 in other.terms.items()}
-            merge(out, row, c1)
-        return QSymbolPoly.wrap(out)
+    __mul__ = _product
 
     def __repr__(self):
         if not self.terms:

@@ -56,12 +56,6 @@ class ActionSpec:
     finite_elements: tuple  # of n x n matrices
     label: str = "action"
 
-    @property
-    def dim(self) -> int:
-        for m in self.lie_generators + self.finite_elements:
-            return len(m)
-        return 0
-
 
 @dataclass
 class ValidationReport:

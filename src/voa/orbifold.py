@@ -359,37 +359,6 @@ def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> For
     return result
 
 
-def _pr_lambdas(m: int) -> dict:
-    """Reduction constants Om[a,b] = lambda(a,b) J^m modulo second derivatives.
-
-    Derived by exact linear algebra in the span of the weight-(m+2) quadratic
-    symbols; integration by parts predicts lambda(a,b) = (-1)^a.
-    """
-    pairs = [(a, m - a) for a in range(0, m // 2 + 1)]
-
-    def d_symbol(poly):
-        out = {}
-        for (a, b), c in poly.items():
-            for key in ((a + 1, b), (a, b + 1)):
-                key = (min(key), max(key))
-                out[key] = out.get(key, Fraction(0)) + c
-        return out
-
-    # symbols keyed (a, b) with a <= b, which d_symbol keeps
-    columns = [{(0, m): Fraction(1)}]
-    lower = [(c, m - 2 - c) for c in range(0, (m - 2) // 2 + 1)] if m >= 2 else []
-    for p in lower:
-        columns.append(d_symbol(d_symbol({p: Fraction(1)})))
-    lambdas = {}
-    for (a, b) in pairs:
-        sol = linalg.solve(columns, {(a, b): Fraction(1)}, Fraction(0))
-        if sol is None:
-            raise RuntimeError(f"projection solve failed in weight {m + 2}")
-        lambdas[(a, b)] = sol[0]
-    return lambdas
-
-
-_PR_CACHE = {}
 #: (n, max weight) -> omega_dictionary, shared by remainder_direct calls so
 #: that each generator derivative is computed once; the weights are bounded
 #: by REMAINDER_MAX_M + 2
@@ -400,13 +369,12 @@ def pr_coefficient(nop: FormalNOP, m: int) -> LevelScalar:
     """Coefficient of J^m after projecting the degree-<=2 part along derivatives.
 
     Total-derivative factors project to zero; a bare Om[a,b] factor requires
-    a + b = m.
+    a + b = m and projects to (-1)^a J^m (m is even, so (-1)^a = (-1)^b).
+    Proof: phi(Om[a,b]) = (-1)^a gives phi(dOm[a,b]) = (-1)^(a+1) + (-1)^a = 0,
+    so phi kills derivatives, and phi(J^m) = phi(Om[0,m]) = 1.
     """
     if m % 2:
         raise ParityError(f"projection defined for even weight index, got m={m}")
-    if m not in _PR_CACHE:
-        _PR_CACHE[m] = _pr_lambdas(m)
-    lambdas = _PR_CACHE[m]
     total = ZERO
     for mono, c in nop.terms.items():
         if len(mono) != 1:
@@ -420,7 +388,7 @@ def pr_coefficient(nop: FormalNOP, m: int) -> LevelScalar:
         a, b = int(mt.group(1)), int(mt.group(2))
         if a + b != m:
             raise ValueError(f"symbol {sym} has weight index {a + b}, expected {m}")
-        total = total + c.scale(lambdas[(min(a, b), max(a, b))])
+        total = total + (-c if a % 2 else c)
     return total
 
 

@@ -282,9 +282,8 @@ class LevelScalar:
 
     __slots__ = ("num", "den", "_h")
 
-    def __init__(self, num: LevelPolynomial, den: LevelPolynomial, _normalized=False):
-        if not _normalized:
-            num, den = _normalize(num, den)
+    def __init__(self, num: LevelPolynomial, den: LevelPolynomial):
+        num, den = _normalize(num, den)
         self.num = num
         self.den = den
         self._h = None
@@ -298,7 +297,7 @@ class LevelScalar:
             return ZERO
         if q == 1:
             return ONE
-        return LevelScalar(LevelPolynomial.constant(q), _P_ONE, _normalized=True)
+        return _mkscalar(LevelPolynomial.constant(q), _P_ONE)
 
     # -- structure ------------------------------------------------------------
 
@@ -344,7 +343,7 @@ class LevelScalar:
         return self + (-other)
 
     def __neg__(self) -> "LevelScalar":
-        return LevelScalar(-self.num, self.den, _normalized=True)
+        return _mkscalar(-self.num, self.den)
 
     def __mul__(self, other: "LevelScalar") -> "LevelScalar":
         if not self.num.ints or not other.num.ints:
@@ -442,9 +441,9 @@ def _mkscalar(num: LevelPolynomial, den: LevelPolynomial) -> "LevelScalar":
     return s
 
 
-ZERO = LevelScalar(_P_ZERO, _P_ONE, _normalized=True)
-ONE = LevelScalar(_P_ONE, _P_ONE, _normalized=True)
-K = LevelScalar(LevelPolynomial.variable(), _P_ONE, _normalized=True)
+ZERO = LevelScalar(_P_ZERO, _P_ONE)
+ONE = LevelScalar(_P_ONE, _P_ONE)
+K = LevelScalar(LevelPolynomial.variable(), _P_ONE)
 
 
 def _divisors(n: int):

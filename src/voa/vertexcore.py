@@ -329,11 +329,7 @@ def leading_symbol(a: State):
     for mono, c in a.terms.items():
         if len(mono) != d:
             continue
-        exps = {}
-        for g, depth in mono:
-            var = (g, depth - 1)
-            exps[var] = exps.get(var, 0) + 1
-        key = tuple(sorted(exps.items()))
+        key = tuple(sorted((g, depth - 1) for g, depth in mono))
         terms[key] = terms.get(key, Fraction(0)) + c.as_fraction()
     return ClassicalPoly(terms)
 

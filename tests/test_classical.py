@@ -159,8 +159,24 @@ def test_poly_gradings():
     assert mixed.poly_weight() is None
 
 
+def test_monomial_keys_repeat_variables_by_exponent():
+    p = var(0, 1) * var(0, 0) * var(0, 1)
+    assert p.terms == {((0, 0), (0, 1), (0, 1)): 1}
+    assert p.partial(0, 1).terms == {((0, 0), (0, 1)): 2}
+    assert p.partial(0, 0).terms == {((0, 1), (0, 1)): 1}
+    assert p.partial(1, 1).is_zero()
+    assert p.poly_degree() == 3 and p.poly_weight() == 5 and p.families() == [0]
+    # QSymbolPoly keys have the same shape, and one product serves both
+    assert ClassicalPoly.__dict__["__mul__"] is QSymbolPoly.__dict__["__mul__"]
+    q = QSymbolPoly.q(0, 1) * QSymbolPoly.q(0, 0) * QSymbolPoly.q(0, 1)
+    assert q.terms == {(("Q", 0, 0), ("Q", 0, 1), ("Q", 0, 1)): 1}
+
+
 def test_rendering():
     p = var(0, 1) * var(0, 1) + ClassicalPoly.constant(Fraction(-1, 2))
     assert repr(p) == "-1/2 + 1*x[0,1]^2"
+    x00, x01, x10 = var(0, 0), var(0, 1), var(1, 0)
+    cubic = x00 * x01 * x10 * x10 + x00 * x00 * x00 * x01
+    assert repr(cubic) == "1*x[0,0]^3x[0,1] + 1*x[0,0]x[0,1]x[1,0]^2"
     q = QSymbolPoly.q(0, 2) * QSymbolPoly.c(0, 1, 3)
     assert "Q[0,2]" in repr(q) and "C[0,1,3]" in repr(q)

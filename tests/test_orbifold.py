@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from voa import classical as cl
-from voa import liedata, orbifold as ob
+from voa import liedata, linalg, orbifold as ob
 from voa import vertexcore as vc
 from voa.classical import det_relation
 from voa.errors import ParityError, ResourceError
@@ -179,6 +179,38 @@ def test_pr_coefficient_examples():
         ob.pr_coefficient(ob.FormalNOP.single("Om[0,3]"), 3)
 
 
+def _projection_by_solve(m):
+    """Om[a,b] = lambda(a,b) J^m modulo second derivatives, by a linear solve
+    in the span of the weight-(m+2) quadratic symbols (a, b), a <= b."""
+
+    def d_symbol(poly):
+        out = {}
+        for (a, b), c in poly.items():
+            for key in ((a + 1, b), (a, b + 1)):
+                key = (min(key), max(key))
+                out[key] = out.get(key, Fraction(0)) + c
+        return out
+
+    columns = [{(0, m): Fraction(1)}]
+    for c in range(0, (m - 2) // 2 + 1) if m >= 2 else ():
+        columns.append(d_symbol(d_symbol({(c, m - 2 - c): Fraction(1)})))
+    lambdas = {}
+    for a in range(0, m // 2 + 1):
+        sol = linalg.solve(columns, {(a, m - a): Fraction(1)}, Fraction(0))
+        assert sol is not None
+        lambdas[a] = sol[0]
+    return lambdas
+
+
+@pytest.mark.parametrize("m", range(0, 31, 2))
+def test_pr_coefficient_matches_projection_solve(m):
+    assert ob.REMAINDER_MAX_M <= 30  # the range covers every m remainder_direct allows
+    for a, lam in _projection_by_solve(m).items():
+        for sym in (f"Om[{a},{m - a}]", f"Om[{m - a},{a}]"):
+            got = ob.pr_coefficient(ob.FormalNOP.single(sym), m)
+            assert got == ONE.scale(lam) and lam == (-1) ** a
+
+
 def test_remainder_direct_examples():
     assert ob.remainder_direct(1, (0, 1), (0, 1)) == Fraction(5, 4)
     from voa.remainder import r1_closed_form
@@ -252,7 +284,8 @@ def test_formal_nop_rendering_and_json():
     nop = ob.FormalNOP(
         {(("J[0]", 2),): Fraction(-7, 30), (("J[0]", 0), ("J[2]", 0)): ONE}
     )
-    text = repr(nop)
-    assert ":D^2 J[0]:" in text and ":J[0] J[2]:" in text
-    data = nop.to_json()
-    assert data[0]["monomial"] in ([["J[0]", 0], ["J[2]", 0]], [["J[0]", 2]])
+    assert repr(nop) == "(1) * :J[0] J[2]: + (-7/30) * :D^2 J[0]:"
+    assert nop.to_json() == [
+        {"monomial": [["J[0]", 0], ["J[2]", 0]], "coeff": {"num": ["1"], "den": ["1"]}},
+        {"monomial": [["J[0]", 2]], "coeff": {"num": ["-7/30"], "den": ["1"]}},
+    ]

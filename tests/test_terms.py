@@ -16,7 +16,7 @@ from voa.vertexcore import State
 CONTAINERS = [
     (State, LevelScalar, ((0, 2), (1, 1)), ((0, 1),)),
     (FormalNOP, LevelScalar, (("J[0]", 1),), (("J[0]", 0), ("J[2]", 0))),
-    (ClassicalPoly, Fraction, (((0, 1), 2),), (((0, 0), 1), ((1, 2), 1))),
+    (ClassicalPoly, Fraction, ((0, 1), (0, 1)), ((0, 0), (1, 2))),
     (QSymbolPoly, Fraction, (("Q", 0, 1),), (("C", 0, 1, 2), ("Q", 0, 0))),
 ]
 

@@ -110,6 +110,8 @@ def test_weight_degree_leading_symbol():
     assert vc.weight(mixed) is None
     s = st(((X, 1), (Y, 1))) + State.vacuum(K)
     assert vc.leading_symbol(s) == ClassicalPoly.variable(X, 0) * ClassicalPoly.variable(Y, 0)
+    squared = st(((X, 2), (X, 2), (H, 1)), 3) + st(((Y, 1),))
+    assert vc.leading_symbol(squared).terms == {((X, 1), (X, 1), (H, 0)): 3}
     with pytest.raises(ValueError):
         vc.leading_symbol(State.zero())
 
@@ -281,7 +283,7 @@ def test_cache_stats_counts_entries():
     assert after["vertexcore._CACHES"][SL2.name] > 0
     assert set(after) == {
         "remainder._MEMO", "vertexcore._CACHES", "vertexcore._SMALL",
-        "orbifold._PR_CACHE", "orbifold._OMEGA_CACHE",
+        "orbifold._OMEGA_CACHE",
     }
     after["remainder._MEMO"] = -1
     assert voa.cache_stats()["remainder._MEMO"] > 0
