@@ -84,17 +84,21 @@ __version__ = "0.1.0"
 def cache_stats() -> dict:
     """Entry counts of the process-wide caches, as a new dict.
 
-    ``vertexcore._CACHES`` is counted per algebra name.  Reading the counts
-    changes no cache.
+    ``vertexcore._CACHES`` is counted per algebra name, and the derivative
+    and descent-stage caches of the dictionaries in ``orbifold._OMEGA_CACHE``
+    are summed over those dictionaries.  Reading the counts changes no cache.
     """
     per_spec = {}
     for spec, entries in list(vertexcore._CACHES.items()):
         per_spec[spec.name] = per_spec.get(spec.name, 0) + len(entries)
+    dictionaries = list(orbifold._OMEGA_CACHE.values())
     return {
         "remainder._MEMO": len(remainder._MEMO),
         "vertexcore._CACHES": per_spec,
         "vertexcore._SMALL": len(vertexcore._SMALL),
-        "orbifold._OMEGA_CACHE": len(orbifold._OMEGA_CACHE),
+        "orbifold._OMEGA_CACHE": len(dictionaries),
+        "orbifold._OMEGA_CACHE._deriv_cache": sum(len(d._deriv_cache) for d in dictionaries),
+        "orbifold._OMEGA_CACHE._stages": sum(len(d._stages) for d in dictionaries),
     }
 
 

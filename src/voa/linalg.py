@@ -7,7 +7,7 @@ hashable values (the monomials of a ``State``, say), and an absent or zero
 entry is zero.  The mappings are only read, never changed, so a caller may
 pass cached ``State.terms`` maps as they are.
 
-``solve``, ``kernel_basis``, ``rank`` and ``invert`` all run one elimination,
+``factor``, ``kernel_basis`` and ``rank`` all run one elimination,
 ``_eliminate``, on rows kept as dicts ``{column: nonzero entry}``.  Columns
 are taken left to right.  A column's pivot row is the unused row with the
 fewest entries, ties going to the row met first; it is scaled so that the
@@ -15,6 +15,15 @@ pivot is 1, and the column is cleared from every other row.  Only stored
 entries are updated and an entry that cancels is dropped, so the cost
 follows the nonzeros rather than the matrix size, and taking the sparsest
 row keeps the fill-in small.
+
+``factor`` records each pivot step's row operations and returns a solver
+that replays them on a right-hand side, so one elimination serves every
+right-hand side of the same matrix ("factor once, solve many").  ``solve``
+and ``invert`` are that solver applied to one right-hand side and to the
+unit vectors.  The replay does to the right-hand side exactly what the same
+elimination would do to it carried along as an extra column, skipping the
+steps whose pivot row holds zero there; only the pivot choice may differ,
+since a carried column adds an entry to the rows it meets.
 
 The choice of pivot row changes no answer.  The pivot columns (each column
 independent of the ones before it) are a property of the matrix, and so is
@@ -26,13 +35,15 @@ unique.
 from __future__ import annotations
 
 
-def _eliminate(columns, npivot):
-    """Reduce the matrix with the given columns, pivoting on the first npivot.
+def _eliminate(columns):
+    """Reduce the matrix with the given columns to reduced row echelon form.
 
-    The columns from npivot on (a right-hand side, an identity) are carried
-    along.  Returns ``(pivots, rest)``: ``pivots`` maps each pivot column to
-    its reduced row, which is 1 at the pivot; ``rest`` lists the other
-    nonempty rows, which have entries in the carried columns only.
+    Returns ``(index, steps, pivots)``.  ``index`` maps each coord with a
+    nonzero entry to its row number.  ``steps`` lists the pivot steps in
+    order, each ``(column, pivot row, pivot, [(row, factor), ...])``: the
+    pivot row was divided by the pivot, then factor times it was subtracted
+    from each listed row.  ``pivots`` maps each pivot column to its reduced
+    row, which is 1 at the pivot.
     """
     rows, index = [], {}
     for j, col in enumerate(columns):
@@ -44,18 +55,20 @@ def _eliminate(columns, npivot):
                     rows.append({})
                 rows[i][j] = v
     live = list(range(len(rows)))  # rows not yet used as a pivot, in order
-    pivots = {}
-    for c in range(npivot):
+    steps, pivots = [], {}
+    for c in range(len(columns)):
         p = min((i for i in live if c in rows[i]), key=lambda i: len(rows[i]), default=None)
         if p is None:
             continue
         live.remove(p)
         piv = rows[p][c]
         prow = rows[p] = {j: v / piv for j, v in rows[p].items()}
+        ops = []
         for i, row in enumerate(rows):
             f = row.pop(c, None) if i != p else None
             if f is None:
                 continue
+            ops.append((i, f))
             for j, v in prow.items():
                 if j == c:
                     continue
@@ -65,35 +78,72 @@ def _eliminate(columns, npivot):
                     row[j] = s
                 else:
                     del row[j]
+        steps.append((c, p, piv, ops))
         pivots[c] = prow
-    return pivots, [rows[i] for i in live if rows[i]]
+    return index, steps, pivots
+
+
+def factor(columns):
+    """Eliminate the matrix once; return a solver for any right-hand side.
+
+    The solver ``apply(rhs, zero)`` returns one exact solution x of
+    sum_j x_j * columns[j] = rhs, or None if there is none.  ``rhs`` is a
+    mapping ``coord -> entry`` like the columns.  Free variables are set to
+    zero, so the answer is determined by the column order.  The solver keeps
+    the row operations only, not the columns.
+    """
+    n = len(columns)
+    index, steps, _ = _eliminate(columns)
+    pivot_column = {p: c for c, p, _, _ in steps}
+
+    def apply(rhs, zero):
+        b = {}  # row -> nonzero entry
+        for coord, v in rhs.items():
+            if v:
+                i = index.get(coord)
+                if i is None:
+                    return None  # a row no column reaches
+                b[i] = v
+        for _, p, piv, ops in steps:
+            v = b.get(p)
+            if v is None:
+                continue
+            v = b[p] = v / piv
+            for i, f in ops:
+                s = b.get(i)
+                s = -(f * v) if s is None else s - f * v
+                if s:
+                    b[i] = s
+                else:
+                    del b[i]
+        x = [zero] * n
+        for i, v in b.items():
+            c = pivot_column.get(i)
+            if c is None:
+                return None  # nonzero on a row that got no pivot
+            x[c] = v
+        return x
+
+    return apply
 
 
 def solve(columns, rhs, zero):
     """One exact solution x of sum_j x_j * columns[j] = rhs, or None.
 
-    ``rhs`` is a mapping ``coord -> entry`` like the columns.  Free variables
-    are set to zero, so the answer is determined by the column order.
+    The same as ``factor(columns)(rhs, zero)``.
     """
-    n = len(columns)
-    pivots, rest = _eliminate([*columns, rhs], n)
-    if rest:
-        return None
-    x = [zero] * n
-    for c, row in pivots.items():
-        x[c] = row.get(n, zero)
-    return x
+    return factor(columns)(rhs, zero)
 
 
 def kernel_basis(columns, ncols, zero, one):
-    """Basis of the right kernel of the matrix of ``ncols`` columns.
+    """Basis of the right kernel of the matrix of the first ``ncols`` columns.
 
     One vector per free (non-pivot) column: 1 in that column, 0 in the
     other free columns, and the back-substituted values in the pivot
     columns.  The vectors are dense lists of length ``ncols``, in the order
     of their free columns, and together already in reduced echelon form.
     """
-    pivots, _ = _eliminate(columns, ncols)
+    pivots = _eliminate(columns[:ncols])[2]
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -110,16 +160,17 @@ def kernel_basis(columns, ncols, zero, one):
 
 def rank(columns):
     """Rank of the matrix with the given columns."""
-    return len(_eliminate(columns, len(columns))[0])
+    return len(_eliminate(columns)[2])
 
 
 def invert(columns, zero, one):
     """Rows of the inverse of a square matrix; raises ValueError if singular.
 
     ``columns[j]`` maps each row index i to the entry in row i, column j.
+    Column j of the inverse solves the system with the j-th unit vector.
     """
-    n = len(columns)
-    pivots, _ = _eliminate([*columns, *({i: one} for i in range(n))], n)
-    if len(pivots) != n:
+    apply = factor(columns)
+    inverse_columns = [apply({j: one}, zero) for j in range(len(columns))]
+    if None in inverse_columns:
         raise ValueError("matrix is singular")
-    return [[pivots[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    return [list(row) for row in zip(*inverse_columns)]

@@ -100,6 +100,9 @@ class GeneratorDictionary:
         self.spec = spec
         self.entries = {}
         self._deriv_cache = {}
+        #: (weight, max_degree, exact_degree) -> (candidates, linalg.factor
+        #: solver of their evaluations), filled by express_in_generators
+        self._stages = {}
 
     def add(self, symbol: str, state: State, degree=None, weight=None):
         w = vc.weight(state)
@@ -111,6 +114,9 @@ class GeneratorDictionary:
         if weight is not None and weight != w:
             raise ValueError(f"declared weight {weight} != computed {w} for {symbol}")
         self.entries[symbol] = GenEntry(state, d, w)
+        # a re-added symbol's derivatives, and every stage, depend on the entries
+        self._deriv_cache.clear()
+        self._stages.clear()
         return self
 
     def __contains__(self, symbol):
@@ -288,26 +294,35 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
     free coefficients are set to zero.  With exact_degree set, only the
     degree-exact_degree component of each evaluation is matched against target
     (the descent step of the quantum-correction algorithm).
+
+    The system's matrix depends only on (weight, max_degree, exact_degree),
+    so the dictionary keeps each such stage: its candidate monomials and a
+    ``linalg.factor`` solver of their evaluations.  The first call of a stage
+    evaluates and eliminates; a later call only replays the elimination on
+    its target.  Adding a generator empties the stages.
     """
     w = vc.weight(target)
     if w is None:
         raise ValueError("target must be weight-homogeneous")
     if target.is_zero():
         return FormalNOP.zero()
-    candidates = enumerate_nop_monomials(dictionary, w, max_degree)
-    if exact_degree is not None:
-        candidates = [
-            m for m in candidates if dictionary.monomial_degree(m) == exact_degree
-        ]
-    if not candidates:
-        return None
-    evals = []
-    for mono in candidates:
-        st = evaluate_nop(FormalNOP({mono: ONE}), dictionary)
+    key = (w, max_degree, exact_degree)
+    stage = dictionary._stages.get(key)
+    if stage is None:
+        candidates = enumerate_nop_monomials(dictionary, w, max_degree)
         if exact_degree is not None:
-            st = st.degree_component(exact_degree)
-        evals.append(st)
-    sol = linalg.solve([st.terms for st in evals], target.terms, ZERO)
+            candidates = [
+                m for m in candidates if dictionary.monomial_degree(m) == exact_degree
+            ]
+        columns = []
+        for mono in candidates:
+            st = evaluate_nop(FormalNOP({mono: ONE}), dictionary)
+            if exact_degree is not None:
+                st = st.degree_component(exact_degree)
+            columns.append(st.terms)
+        stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
+    candidates, solver = stage
+    sol = solver(target.terms, ZERO)
     if sol is None:
         return None
     return FormalNOP({candidates[i]: c for i, c in enumerate(sol) if c})
@@ -360,8 +375,8 @@ def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> For
 
 
 #: (n, max weight) -> omega_dictionary, shared by remainder_direct calls so
-#: that each generator derivative is computed once; the weights are bounded
-#: by REMAINDER_MAX_M + 2
+#: that each generator derivative and each descent stage is computed once;
+#: the weights are bounded by REMAINDER_MAX_M + 2
 _OMEGA_CACHE = {}
 
 

@@ -166,3 +166,99 @@ def test_level_dependent_pivot():
     assert linalg.kernel_basis(columns, 2, ZERO, ONE) == []
     assert linalg.invert(columns, ZERO, ONE) == [[K / det, -(ONE / det)], [-(ONE / det), K / det]]
     assert (columns, rhs) == before
+
+
+def left_kernel(columns, coords, zero, one):
+    """Vectors y over coords with y^T A = 0: the kernel of the transpose."""
+    rows = [{j: col[r] for j, col in enumerate(columns) if col.get(r)} for r in coords]
+    return [dict(zip(coords, y)) for y in linalg.kernel_basis(rows, len(coords), zero, one)]
+
+
+def check_answer(columns, rhs, x, zero, one):
+    """x solves the system, or x is None and some y with y^T A = 0 has y.rhs != 0."""
+    if x is not None:
+        assert len(x) == len(columns)
+        assert matvec(columns, x, zero) == {c: v for c, v in rhs.items() if v}
+        return
+    coords = sorted({c for col in columns for c in col} | set(rhs), key=repr)
+    assert any(
+        sum((y[c] * v for c, v in rhs.items()), zero)
+        for y in left_kernel(columns, coords, zero, one)
+    )
+
+
+def random_rhs(rng, columns, draw, zero, one):
+    """A right-hand side in the column space, any one on the columns' coords,
+    or one that also reaches a coord past every column."""
+    kind = rng.choice(("image", "any", "outside"))
+    if kind == "image":
+        return matvec(columns, [draw() for _ in columns], zero)
+    coords = sorted({c for col in columns for c in col}) or ["r0"]
+    rhs = {c: draw() for c in rng.sample(coords, rng.randint(0, len(coords)))}
+    if kind == "outside":
+        rhs["zz"] = one
+    return rhs
+
+
+def test_factor_replays_on_many_right_hand_sides():
+    rng = random.Random(20261019)
+    solved = unsolvable = 0
+    for _ in range(200):
+        columns, _ = random_system(rng)
+        before = copy.deepcopy(columns)
+        apply = linalg.factor(columns)
+        for _ in range(5):
+            rhs = random_rhs(
+                rng, columns, lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)), F0, F1
+            )
+            rhs_before = dict(rhs)
+            x = apply(rhs, F0)
+            check_answer(columns, rhs, x, F0, F1)
+            assert rhs == rhs_before
+            solved += x is not None
+            unsolvable += x is None
+        assert columns == before
+    assert solved > 100 and unsolvable > 100
+
+
+def test_factor_over_level_dependent_entries():
+    rng = random.Random(11)
+
+    def draw():
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        return K.scale(a) + LevelScalar.from_fraction(Fraction(b, rng.randint(1, 2)))
+
+    outcomes = set()
+    for _ in range(40):
+        coords = [f"r{i}" for i in range(rng.randint(1, 4))]
+        columns = [{c: draw() for c in rng.sample(coords, rng.randint(0, len(coords)))}
+                   for _ in range(rng.randint(1, 4))]
+        before = copy.deepcopy(columns)
+        apply = linalg.factor(columns)
+        for _ in range(4):
+            rhs = random_rhs(rng, columns, draw, ZERO, ONE)
+            x = apply(rhs, ZERO)
+            check_answer(columns, rhs, x, ZERO, ONE)
+            outcomes.add(x is None)
+        assert columns == before
+    assert outcomes == {True, False}
+
+
+def test_factor_edge_cases():
+    columns = [{"a": F1, "b": F1}, {"a": Fraction(2), "b": Fraction(2)}, {"b": Fraction(3)}]
+    before = copy.deepcopy(columns)
+    apply = linalg.factor(columns)  # rank 2: "a" and "b" both get a pivot
+    assert apply({"a": F1, "b": Fraction(4)}, F0) == [F1, F0, F1]
+    assert apply({"c": F1}, F0) is None  # a coord outside every column
+    assert apply({"a": F1, "c": F0}, F0) == [F1, F0, Fraction(-1, 3)]  # a zero there is fine
+    assert apply({}, F0) == [F0, F0, F0]
+    assert apply({"a": F0, "b": F0}, F0) == [F0, F0, F0]
+    assert apply({"b": Fraction(-6)}, F0) == [F0, F0, Fraction(-2)]
+    assert columns == before
+    dependent = linalg.factor([{"a": F1, "b": F1}, {"a": Fraction(2), "b": Fraction(2)}])
+    assert dependent({"a": F1}, F0) is None  # both coords reached, off the span
+    assert dependent({"a": F1, "b": F1}, F0) == [F1, F0]
+    empty = linalg.factor([])
+    assert empty({}, F0) == []
+    assert empty({"a": F0}, F0) == []
+    assert empty({"a": F1}, F0) is None

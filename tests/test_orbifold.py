@@ -121,6 +121,82 @@ def test_express_in_generators_examples():
     assert ob.express_in_generators(ob.omega(1, 0, 2), d0, max_degree=4) is None
 
 
+def test_readding_a_symbol_replaces_its_cached_states():
+    d = ob.GeneratorDictionary(H1)
+    d.add("A", ob.j_gen(1, 0))
+    assert d.factor_state("A", 1) == vc.derivative(H1, ob.j_gen(1, 0))
+    d.add("A", ob.j_gen(1, 2))
+    assert d.factor_state("A", 1) == vc.derivative(H1, ob.j_gen(1, 2))
+    assert ob.evaluate_nop(ob.FormalNOP.single("A", 1), d) == vc.derivative(H1, ob.j_gen(1, 2))
+    # a stage built before the symbol changed is not reused
+    d = ob.GeneratorDictionary(H1).add("A", ob.omega(1, 0, 0))
+    target = ob.omega(1, 0, 0).scale(2)
+    assert ob.express_in_generators(target, d, 2) == ob.FormalNOP.single("A", coeff=2)
+    d.add("A", target)
+    assert ob.express_in_generators(target, d, 2) == ob.FormalNOP.single("A")
+
+
+def _count_stage_work(monkeypatch):
+    """Count the evaluate_nop and linalg.factor calls made from now on."""
+    counts = {"evaluate_nop": 0, "factor": 0}
+
+    def counted(name, owner):
+        plain = getattr(owner, name)
+
+        def wrapper(*args, **kw):
+            counts[name] += 1
+            return plain(*args, **kw)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted("evaluate_nop", ob)
+    counted("factor", linalg)
+    return counts
+
+
+# (dictionary's max weight, max_degree, exact_degree, targets of one stage);
+# the last stage has no solution for its first target
+STAGES = [
+    (6, 4, None, [
+        ob.omega(1, 1, 3),
+        vc.wick(H1, ob.omega(1, 0, 0), ob.omega(1, 0, 2)) + ob.omega(1, 2, 2).scale(K),
+    ]),
+    (6, 4, 4, [
+        vc.wick(H1, ob.omega(1, 0, 0), ob.omega(1, 0, 2)).degree_component(4),
+        vc.wick(H1, ob.omega(1, 0, 1), ob.omega(1, 0, 1)).degree_component(4).scale(K),
+    ]),
+    (2, 4, None, [ob.omega(1, 0, 2), vc.nth_derivative(H1, ob.omega(1, 0, 0), 2)]),
+]
+
+
+@pytest.mark.parametrize("max_weight, max_degree, exact_degree, targets", STAGES)
+def test_express_in_generators_reuses_each_stage(
+    monkeypatch, max_weight, max_degree, exact_degree, targets
+):
+    fresh = [
+        ob.express_in_generators(t, ob.omega_dictionary(1, max_weight), max_degree, exact_degree)
+        for t in targets
+    ]
+    if max_weight == 2:
+        assert fresh[0] is None and fresh[1] is not None
+    counts = _count_stage_work(monkeypatch)
+    d = ob.omega_dictionary(1, max_weight)
+    first, *rest = targets
+    assert ob.express_in_generators(first, d, max_degree, exact_degree) == fresh[0]
+    assert counts["evaluate_nop"] > 0 and counts["factor"] == 1
+    for target, want in zip(rest, fresh[1:]):
+        counts.update(evaluate_nop=0, factor=0)
+        assert ob.express_in_generators(target, d, max_degree, exact_degree) == want
+        assert counts == {"evaluate_nop": 0, "factor": 0}
+    # adding a generator makes the next call build the stage again
+    d.add("Extra", ob.omega(1, 0, 2))
+    counts.update(evaluate_nop=0, factor=0)
+    again = ob.express_in_generators(first, d, max_degree, exact_degree)
+    assert counts["evaluate_nop"] > 0 and counts["factor"] == 1
+    if max_weight == 2:
+        assert again is not None
+
+
 def test_quantum_correction_pipeline():
     rel = det_relation(1, (0, 1), (0, 1))
     d = ob.omega_dictionary(1, 6)

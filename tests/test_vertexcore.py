@@ -271,22 +271,29 @@ def test_cache_stats_counts_entries():
     import voa
     from voa import remainder
 
+    dictionary_caches = ("orbifold._OMEGA_CACHE._deriv_cache", "orbifold._OMEGA_CACHE._stages")
     vc._CACHES.pop(SL2, None)
     remainder._MEMO.clear()
+    voa.orbifold._OMEGA_CACHE.clear()
     before = voa.cache_stats()
     assert before["remainder._MEMO"] == 0
     assert before["vertexcore._CACHES"].get(SL2.name, 0) == 0
+    assert [before[name] for name in dictionary_caches] == [0, 0]
     vc.circle_product(SL2, State.generator(X), 0, State.generator(Y))
     remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3))
+    voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
     after = voa.cache_stats()
     assert after["remainder._MEMO"] > 0
     assert after["vertexcore._CACHES"][SL2.name] > 0
+    assert all(after[name] > 0 for name in dictionary_caches)
     assert set(after) == {
         "remainder._MEMO", "vertexcore._CACHES", "vertexcore._SMALL",
-        "orbifold._OMEGA_CACHE",
+        "orbifold._OMEGA_CACHE", *dictionary_caches,
     }
     after["remainder._MEMO"] = -1
     assert voa.cache_stats()["remainder._MEMO"] > 0
+    voa.clear_caches()
+    assert [voa.cache_stats()[name] for name in dictionary_caches] == [0, 0]
 
 
 def test_clear_caches_empties_every_counted_cache():
