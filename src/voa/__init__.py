@@ -8,7 +8,6 @@ remainder recursion with its closed n=1 form.
 
 from .scalars import (
     K,
-    NEG_INFINITY,
     ONE,
     ZERO,
     LevelPolynomial,

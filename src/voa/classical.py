@@ -52,9 +52,6 @@ class ClassicalPoly(Terms):
 
     # -- gradings ------------------------------------------------------------
 
-    def poly_degree(self) -> int:
-        return max(map(len, self.terms), default=0)
-
     def poly_weight(self):
         """Common weight sum(j+1) over a key; None when inhomogeneous, 0 when zero."""
         ws = {sum(j + 1 for _, j in k) for k in self.terms}
@@ -78,18 +75,10 @@ class ClassicalPoly(Terms):
                 out[key[:t] + key[t + 1:]] = c * e
         return ClassicalPoly.wrap(out)
 
-    def map_variables(self, fn) -> "ClassicalPoly":
-        """Ring homomorphism determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
-        return ClassicalPoly.sum(
-            math.prod((fn(i, j) for i, j in key), start=ClassicalPoly.constant(c))
-            for key, c in self.terms.items()
-        )
-
     def derive_variables(self, fn) -> "ClassicalPoly":
-        """Derivation determined by x_{i,j} |-> fn(i, j) (a ClassicalPoly)."""
+        """Derivation determined by x_{i,j} |-> fn((i, j)) (a ClassicalPoly)."""
         return ClassicalPoly.sum(
-            self.partial(i, j) * fn(i, j)
-            for (i, j) in sorted({v for k in self.terms for v in k})
+            self.partial(*v) * fn(v) for v in sorted({v for k in self.terms for v in k})
         )
 
     def __repr__(self):
@@ -209,10 +198,15 @@ def _q_determinant(rows, cols) -> QSymbolPoly:
     return _determinant(QSymbolPoly, len(rows), lambda r, c: QSymbolPoly.q(rows[r], cols[c]))
 
 
-def _substitute(p: QSymbolPoly, image) -> ClassicalPoly:
-    """The ring homomorphism determined by each symbol's image(sym)."""
+def _substitute(p, image) -> ClassicalPoly:
+    """The ring homomorphism determined by each letter's image(letter).
+
+    p is a QSymbolPoly (letters are symbols) or a ClassicalPoly (letters are
+    variables (i, j)); image is called once per distinct letter of p.
+    """
+    images = {v: image(v) for v in dict.fromkeys(itertools.chain.from_iterable(p.terms))}
     return ClassicalPoly.sum(
-        math.prod(map(image, key), start=ClassicalPoly.constant(c))
+        math.prod(map(images.__getitem__, key), start=ClassicalPoly.constant(c))
         for key, c in p.terms.items()
     )
 
@@ -254,27 +248,6 @@ def sl2_relation_type2(i, j, k, l, m, n) -> QSymbolPoly:
     return QSymbolPoly.c(i, j, k) * QSymbolPoly.c(l, m, n) + det.scale(Fraction(1, 4))
 
 
-def q_symbol_derivative(p: QSymbolPoly) -> QSymbolPoly:
-    """Symbol-level derivative: Q_{a,b} -> Q_{a+1,b} + Q_{a,b+1}, likewise on C."""
-
-    def bumped(sym):
-        if sym[0] == "Q":
-            a, b = sym[1], sym[2]
-            return QSymbolPoly.q(a + 1, b) + QSymbolPoly.q(a, b + 1)
-        k_, l_, m_ = sym[1], sym[2], sym[3]
-        return (
-            QSymbolPoly.c(k_ + 1, l_, m_)
-            + QSymbolPoly.c(k_, l_ + 1, m_)
-            + QSymbolPoly.c(k_, l_, m_ + 1)
-        )
-
-    return QSymbolPoly.sum(
-        QSymbolPoly({key[:t] + key[t + 1:]: c}) * bumped(sym)
-        for key, c in p.terms.items()
-        for t, sym in enumerate(key)
-    )
-
-
 # -- polarization and invariance ---------------------------------------------------
 
 
@@ -287,13 +260,14 @@ def polarization(r: int, s: int, p: ClassicalPoly) -> ClassicalPoly:
 
 def d_ring_derivative(p: ClassicalPoly) -> ClassicalPoly:
     """The ring derivation with x_{i,j} |-> x_{i,j+1}."""
-    return p.derive_variables(lambda i, j: ClassicalPoly.variable(i, j + 1))
+    return p.derive_variables(lambda v: ClassicalPoly.variable(v[0], v[1] + 1))
 
 
 def _family_image(M):
-    """x_{i,j} |-> sum over i2 of M[i2][i] x_{i2,j}: a matrix acting on the family index."""
-    return lambda i, j: ClassicalPoly.sum(
-        ClassicalPoly.variable(i2, j).scale(M[i2][i]) for i2 in range(len(M)) if M[i2][i]
+    """(i, j) |-> sum over i2 of M[i2][i] x_{i2,j}: a matrix acting on the family index."""
+    rows = range(len(M))
+    return lambda v: ClassicalPoly.sum(
+        ClassicalPoly.variable(i2, v[1]).scale(M[i2][v[0]]) for i2 in rows if M[i2][v[0]]
     )
 
 
@@ -303,7 +277,7 @@ def lie_derivation(rho, p: ClassicalPoly) -> ClassicalPoly:
 
 
 def apply_finite(M, p: ClassicalPoly) -> ClassicalPoly:
-    return p.map_variables(_family_image(M))
+    return _substitute(p, _family_image(M))
 
 
 def lie_invariance_check(action: ActionSpec, p: ClassicalPoly) -> bool:

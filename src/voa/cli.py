@@ -201,6 +201,7 @@ def cmd_decouple(args) -> int:
 
 
 def cmd_sl2_generators(args) -> int:
+    _check_weight("max weight", args.max_weight)
     rows = vf.sl2_generator_rows(args.max_weight, args.max_weight)
     payload = [
         {"generator": name, "weight": w, "invariant": inv, "leading_symbol_ok": sym}

@@ -313,9 +313,10 @@ def parse_config(text: str, name: str = "config"):
         labels = [f"g{i}" for i in range(dim)]
     if len(labels) != dim:
         raise ValueError("label count does not match dim")
-    for (i, j, l) in brackets:
-        if not all(0 <= t < dim for t in (i, j, l)):
-            raise ValueError(f"bracket index out of range: {(i, j, l)}")
+    for what, table in (("bracket", brackets), ("form", form)):
+        for key in table:
+            if not all(0 <= t < dim for t in key):
+                raise ValueError(f"{what} index out of range: {key}")
     spec = build_spec(dim, labels, brackets, form, name=name)
     action = None
     if blocks:

@@ -18,12 +18,12 @@ row keeps the fill-in small.
 
 ``factor`` records each pivot step's row operations and returns a solver
 that replays them on a right-hand side, so one elimination serves every
-right-hand side of the same matrix ("factor once, solve many").  ``solve``
-and ``invert`` are that solver applied to one right-hand side and to the
-unit vectors.  The replay does to the right-hand side exactly what the same
-elimination would do to it carried along as an extra column, skipping the
-steps whose pivot row holds zero there; only the pivot choice may differ,
-since a carried column adds an entry to the rows it meets.
+right-hand side of the same matrix ("factor once, solve many"); ``solve``
+is that solver applied to one right-hand side.  The replay does to the
+right-hand side exactly what the same elimination would do to it carried
+along as an extra column, skipping the steps whose pivot row holds zero
+there; only the pivot choice may differ, since a carried column adds an
+entry to the rows it meets.
 
 The choice of pivot row changes no answer.  The pivot columns (each column
 independent of the ones before it) are a property of the matrix, and so is
@@ -161,16 +161,3 @@ def kernel_basis(columns, ncols, zero, one):
 def rank(columns):
     """Rank of the matrix with the given columns."""
     return len(_eliminate(columns)[2])
-
-
-def invert(columns, zero, one):
-    """Rows of the inverse of a square matrix; raises ValueError if singular.
-
-    ``columns[j]`` maps each row index i to the entry in row i, column j.
-    Column j of the inverse solves the system with the j-th unit vector.
-    """
-    apply = factor(columns)
-    inverse_columns = [apply({j: one}, zero) for j in range(len(columns))]
-    if None in inverse_columns:
-        raise ValueError("matrix is singular")
-    return [list(row) for row in zip(*inverse_columns)]

@@ -94,7 +94,7 @@ class GenEntry:
 
 
 class GeneratorDictionary:
-    """Ordered map from symbol names to states with declared degree and weight."""
+    """Ordered map from symbol names to states with their degree and weight."""
 
     def __init__(self, spec: LieSpec):
         self.spec = spec
@@ -104,23 +104,15 @@ class GeneratorDictionary:
         #: solver of their evaluations), filled by express_in_generators
         self._stages = {}
 
-    def add(self, symbol: str, state: State, degree=None, weight=None):
+    def add(self, symbol: str, state: State):
         w = vc.weight(state)
         if w is None:
             raise ValueError(f"generator {symbol} is not weight-homogeneous")
-        d = vc.degree(state)
-        if degree is not None and degree != d:
-            raise ValueError(f"declared degree {degree} != computed {d} for {symbol}")
-        if weight is not None and weight != w:
-            raise ValueError(f"declared weight {weight} != computed {w} for {symbol}")
-        self.entries[symbol] = GenEntry(state, d, w)
+        self.entries[symbol] = GenEntry(state, vc.degree(state), w)
         # a re-added symbol's derivatives, and every stage, depend on the entries
         self._deriv_cache.clear()
         self._stages.clear()
         return self
-
-    def __contains__(self, symbol):
-        return symbol in self.entries
 
     def __getitem__(self, symbol) -> GenEntry:
         if symbol not in self.entries:
@@ -162,19 +154,17 @@ def evaluate_nop(nop: FormalNOP, dictionary: GeneratorDictionary) -> State:
 # -- generator constructions -----------------------------------------------------
 
 
+def _dgen(spec: LieSpec, g: int, t: int) -> State:
+    """The t-th derivative of the generator X^g."""
+    return vc.nth_derivative(spec, State.generator(g), t)
+
+
 def omega(n: int, a: int, b: int) -> State:
     """sum_i :d^a alpha_i d^b alpha_i: over the rank-n Heisenberg algebra."""
     if not (0 <= a <= b):
         raise ValueError("need 0 <= a <= b")
     spec = abelian(n)
-    return State.sum(
-        vc.wick(
-            spec,
-            vc.nth_derivative(spec, State.generator(i), a),
-            vc.nth_derivative(spec, State.generator(i), b),
-        )
-        for i in range(n)
-    )
+    return State.sum(vc.wick(spec, _dgen(spec, i, a), _dgen(spec, i, b)) for i in range(n))
 
 
 def j_gen(n: int, m: int) -> State:
@@ -205,14 +195,10 @@ def sl2_tilde_q(i: int, j: int) -> State:
     """:d^i X^h d^j X^h: + 2 :d^i X^x d^j X^y: + 2 :d^i X^y d^j X^x:."""
     spec = sl2_spec()
     x, y, h = 0, 1, 2
-
-    def dgen(g, t):
-        return vc.nth_derivative(spec, State.generator(g), t)
-
     return State.sum([
-        vc.wick(spec, dgen(h, i), dgen(h, j)),
-        vc.wick(spec, dgen(x, i), dgen(y, j)).scale(2),
-        vc.wick(spec, dgen(y, i), dgen(x, j)).scale(2),
+        vc.wick(spec, _dgen(spec, h, i), _dgen(spec, h, j)),
+        vc.wick(spec, _dgen(spec, x, i), _dgen(spec, y, j)).scale(2),
+        vc.wick(spec, _dgen(spec, y, i), _dgen(spec, x, j)).scale(2),
     ])
 
 
@@ -222,12 +208,9 @@ def sl2_tilde_c(k: int, l: int, m: int) -> State:
         raise ValueError("need k < l < m")
     spec = sl2_spec()
     x, y, h = 0, 1, 2
-
-    def dgen(g, t):
-        return vc.nth_derivative(spec, State.generator(g), t)
-
     return State.sum(
-        vc.wick_chain(spec, [dgen(x, a), dgen(y, b), dgen(h, c)]).scale(sort_sign((a, b, c))[0])
+        vc.wick_chain(spec, [_dgen(spec, x, a), _dgen(spec, y, b), _dgen(spec, h, c)])
+        .scale(sort_sign((a, b, c))[0])
         for a, b, c in itertools.permutations((k, l, m))
     )
 

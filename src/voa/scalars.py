@@ -19,10 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-#: k-degree of the zero scalar.  A float so that the degree laws
-#: deg(a*b) = deg(a) + deg(b) and deg(a+b) <= max(deg a, deg b) hold literally.
-NEG_INFINITY = float("-inf")
-
 
 class PoleAtLevel(ArithmeticError):
     """Raised when a scalar is evaluated at a root of its denominator."""
@@ -375,13 +371,7 @@ class LevelScalar:
             return ZERO
         return _mkscalar(self.num.scale(q), self.den)
 
-    # -- the k-degree and evaluation -------------------------------------------
-
-    def k_degree(self):
-        """deg(num) - deg(den); NEG_INFINITY for zero."""
-        if self.is_zero():
-            return NEG_INFINITY
-        return self.num.degree - self.den.degree
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate_at(self, k0) -> Fraction:
         k0 = Fraction(k0)

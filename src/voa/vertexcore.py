@@ -66,8 +66,8 @@ class State(Terms):
         return State({(): coeff})
 
     @staticmethod
-    def generator(i: int, depth: int = 1, coeff=1) -> "State":
-        return State({((i, depth),): coeff})
+    def generator(i: int) -> "State":
+        return State({((i, 1),): 1})
 
     def __hash__(self):
         try:
@@ -83,12 +83,6 @@ class State(Terms):
 
     def max_weight(self) -> int:
         return max((mono_weight(m) for m in self.terms), default=0)
-
-    def weight_components(self) -> dict:
-        comps = {}
-        for m, c in self.terms.items():
-            comps.setdefault(mono_weight(m), {})[m] = c
-        return {w: State(t) for w, t in sorted(comps.items())}
 
     def degree_component(self, d: int) -> "State":
         return State({m: c for m, c in self.terms.items() if len(m) == d})
@@ -343,15 +337,13 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     from . import linalg
 
     h_dual = Fraction(h_dual)
-    n = spec.dim
-    try:
-        binv = linalg.invert(
-            [dict(enumerate(col)) for col in zip(*spec.form)], Fraction(0), Fraction(1)
-        )
-    except ValueError:
+    # dual i is column i of the inverse form: the solution of B x = e_i
+    apply = linalg.factor([dict(enumerate(col)) for col in zip(*spec.form)])
+    inverse_columns = [apply({i: Fraction(1)}, Fraction(0)) for i in range(spec.dim)]
+    if None in inverse_columns:
         raise ValueError("bilinear form is not invertible; no Sugawara vector")
     pref = ONE / ((K + LevelScalar.from_fraction(h_dual)).scale(2))
-    duals = [State({((j, 1),): binv[j][i] for j in range(n) if binv[j][i]}) for i in range(n)]
+    duals = [State({((j, 1),): c for j, c in enumerate(col) if c}) for col in inverse_columns]
     total = State.sum(wick(spec, State.generator(i), dual) for i, dual in enumerate(duals))
     return total.scale(pref)
 
@@ -429,11 +421,3 @@ def state_to_json(spec: LieSpec, a: State) -> dict:
             for mono, c in sorted(a.terms.items())
         ],
     }
-
-
-def state_from_json(data: dict) -> State:
-    terms = {}
-    for t in data["terms"]:
-        mono = tuple((int(g), int(d)) for g, d in t["monomial"])
-        terms[mono] = LevelScalar.from_json(t["coeff"])
-    return State(terms)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -104,25 +105,6 @@ def test_polarization_preserves_invariance():
         assert cl.lie_invariance_check(o2, cl.polarization(r, s, p))
 
 
-def test_derivative_substitution_compatibility():
-    rng = random.Random(17)
-    for n in (1, 2):
-        for _ in range(10):
-            p = QSymbolPoly.q(rng.randint(0, 2), rng.randint(0, 2))
-            if rng.random() < 0.5:
-                p = p * QSymbolPoly.q(rng.randint(0, 2), rng.randint(0, 2))
-            lhs = cl.d_ring_derivative(cl.substitute(p, n))
-            rhs = cl.substitute(cl.q_symbol_derivative(p), n)
-            assert lhs == rhs
-
-
-def test_derivative_substitution_compatibility_sl2():
-    p = QSymbolPoly.q(0, 1) * QSymbolPoly.c(0, 1, 2)
-    lhs = cl.d_ring_derivative(cl.substitute_sl2(p))
-    rhs = cl.substitute_sl2(cl.q_symbol_derivative(p))
-    assert lhs == rhs
-
-
 def test_minimal_dring_generators():
     # rank 1: of all q_{a,b} with weight <= 8 (ordered by weight, then a),
     # the greedy minimal derivation-ring generators are the q_{0,even} family
@@ -151,9 +133,29 @@ def test_minimal_dring_generators_rejects_weight_zero_candidate():
     assert got == [cl.weyl_q(1, 0, 0)]
 
 
+def test_substitute_builds_each_image_once():
+    # every Q_{a,b} of the 3x3 determinant occurs in two of its six terms
+    p = cl.det_relation(2, (0, 1, 2), (0, 1, 2))
+    letters = [sym for key in p.terms for sym in key]
+    assert len(letters) > len(set(letters))
+    calls = []
+
+    def image(sym):
+        calls.append(sym)
+        return cl.weyl_q(3, sym[1], sym[2])
+
+    got = cl._substitute(p, image)
+    assert sorted(calls) == sorted(set(letters))
+    # the same homomorphism with an image built at every occurrence
+    want = ClassicalPoly.sum(
+        math.prod((cl.weyl_q(3, a, b) for _, a, b in key), start=ClassicalPoly.constant(c))
+        for key, c in p.terms.items()
+    )
+    assert got == want and not got.is_zero()
+
+
 def test_poly_gradings():
     p = cl.weyl_q(2, 1, 2)
-    assert p.poly_degree() == 2
     assert p.poly_weight() == 5  # weights j+1: (1+1) + (2+1)
     mixed = p + cl.weyl_q(2, 0, 0)
     assert mixed.poly_weight() is None
@@ -165,7 +167,7 @@ def test_monomial_keys_repeat_variables_by_exponent():
     assert p.partial(0, 1).terms == {((0, 0), (0, 1)): 2}
     assert p.partial(0, 0).terms == {((0, 1), (0, 1)): 1}
     assert p.partial(1, 1).is_zero()
-    assert p.poly_degree() == 3 and p.poly_weight() == 5 and p.families() == [0]
+    assert p.poly_weight() == 5 and p.families() == [0]
     # QSymbolPoly keys have the same shape, and one product serves both
     assert ClassicalPoly.__dict__["__mul__"] is QSymbolPoly.__dict__["__mul__"]
     q = QSymbolPoly.q(0, 1) * QSymbolPoly.q(0, 0) * QSymbolPoly.q(0, 1)

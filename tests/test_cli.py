@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from voa import cli
 
 SL2_CONFIG = """
@@ -149,6 +151,12 @@ def test_resource_cap_env(capsys, monkeypatch):
     )
     assert code == 2
     assert "error[ResourceError]" in err
+    code, out, err = run(capsys, ["sl2-generators", "--max-weight", "4"])
+    assert code == 2 and out == ""
+    assert "error[ResourceError]: max weight = 4 exceeds the bound 3" in err
+    code, out, _ = run(capsys, ["sl2-generators", "--max-weight", "3", "--json"])
+    assert code == 0
+    assert [r["weight"] for r in json.loads(out)] == [2, 3]
 
 
 def test_verify_suite(capsys):
@@ -160,6 +168,15 @@ def test_verify_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, ["verify", "nonsense"])
     assert code == 2
+
+
+@pytest.mark.parametrize("dim, entry", [(1, "1 1 = 1"), (2, "-1 -1 = 1")])
+def test_verify_algebra_form_index_out_of_range(capsys, tmp_path, dim, entry):
+    cfg = tmp_path / "badform.cfg"
+    cfg.write_text(f"[algebra]\ndim = {dim}\n\n[form]\n0 0 = 1\n{entry}\n")
+    code, out, err = run(capsys, ["verify", "algebra", "--algebra", str(cfg)])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: form index out of range" in err
 
 
 def test_verify_algebra_config(capsys, tmp_path):

@@ -76,8 +76,6 @@ def test_omega_dictionary():
 
 def test_generator_dictionary_validation():
     d = ob.GeneratorDictionary(H1)
-    with pytest.raises(ValueError):
-        d.add("bad", ob.omega(1, 0, 0), weight=5)
     mixed = ob.omega(1, 0, 0) + ob.omega(1, 0, 2)
     with pytest.raises(ValueError):
         d.add("mixed", mixed)

@@ -6,7 +6,6 @@ import pytest
 
 from voa.scalars import (
     K,
-    NEG_INFINITY,
     ONE,
     ZERO,
     LevelPolynomial,
@@ -43,12 +42,6 @@ def test_division_by_zero():
         ONE / ZERO
 
 
-def test_k_degree_examples():
-    assert scalar((3, 0, 1)).k_degree() == 2
-    assert (ONE / scalar((2, 1))).k_degree() == -1
-    assert ZERO.k_degree() == NEG_INFINITY
-
-
 def test_evaluate_examples():
     a = scalar((0, 3)) / scalar((2, 1))  # 3k/(k+2)
     assert a.evaluate_at(1) == 1
@@ -81,16 +74,6 @@ def test_field_laws_random():
         if not a.is_zero():
             assert a * a.inverse() == ONE
         assert a + b == b + a
-
-
-def test_k_degree_laws_random():
-    rng = random.Random(11)
-    for _ in range(80):
-        a, b = _random_scalar(rng), _random_scalar(rng)
-        if a.is_zero() or b.is_zero():
-            continue
-        assert (a * b).k_degree() == a.k_degree() + b.k_degree()
-        assert (a + b).k_degree() <= max(a.k_degree(), b.k_degree())
 
 
 def test_normal_form_invariants():
