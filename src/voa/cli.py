@@ -26,8 +26,11 @@ def _check_weight(quantity: str, weight: int):
     check_budget(quantity, weight, cap, "raise VOA_MAX_WEIGHT")
 
 
-def load_algebra(name: str):
-    """Resolve a built-in name or a config-file path to (spec, action or None)."""
+def read_algebra(name: str):
+    """Resolve a built-in name or a config-file path to (spec, action or None).
+
+    A config file is parsed but not validated; see ``load_algebra``.
+    """
     try:
         return liedata.builtin_algebra(name), None
     except KeyError:
@@ -36,16 +39,25 @@ def load_algebra(name: str):
         with open(name, "r", encoding="utf-8") as fh:
             text = fh.read()
         base = os.path.splitext(os.path.basename(name))[0]
-        spec, action = liedata.parse_config(text, name=base)
-        report = liedata.validate(spec)
-        if not report.ok:
-            raise ValueError(f"algebra config {name} is invalid:\n{report}")
-        if action is not None:
-            arep = liedata.validate_action(spec, action)
-            if not arep.ok:
-                raise ValueError(f"action in {name} is invalid:\n{arep}")
-        return spec, action
+        return liedata.parse_config(text, name=base)
     raise KeyError(f"unknown algebra {name!r}: not a built-in and not a file")
+
+
+def validate_algebra(spec, action) -> liedata.ValidationReport:
+    """The spec's failed identities, then the action's."""
+    report = liedata.validate(spec)
+    if action is not None:
+        report.failures += liedata.validate_action(spec, action).failures
+    return report
+
+
+def load_algebra(name: str):
+    """``read_algebra``, raising ValueError when the algebra or its action is invalid."""
+    spec, action = read_algebra(name)
+    report = validate_algebra(spec, action)
+    if not report.ok:
+        raise ValueError(f"algebra {name} is invalid:\n{report}")
+    return spec, action
 
 
 def resolve_action(spec, name, config_action):
@@ -92,6 +104,7 @@ def cmd_ope(args) -> int:
 def cmd_circle(args) -> int:
     spec, _ = load_algebra(args.algebra)
     a, b = spec.index(args.a), spec.index(args.b)
+    _check_weight("result weight", 1 - args.n)
     result = vc.circle_product(spec, State.generator(a), args.n, State.generator(b))
     payload = {
         "algebra": spec.name,
@@ -220,8 +233,8 @@ def cmd_verify(args) -> int:
     if args.suite == "algebra":
         if not args.algebra:
             raise ValueError("verify algebra requires --algebra <config or builtin>")
-        spec, action = load_algebra(args.algebra)
-        report = liedata.validate(spec)
+        spec, action = read_algebra(args.algebra)
+        report = validate_algebra(spec, action)
         payload = {
             "algebra": liedata.spec_to_json(spec),
             "valid": report.ok,

@@ -14,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
+from .errors import check_budget
 
 Matrix = tuple  # tuple of tuples of Fraction
 
 #: dual Coxeter numbers for the built-in simple algebras
 DUAL_COXETER = {"sl2": Fraction(2)}
+
+#: largest algebra dimension: a spec holds a dense dim^3 bracket table
+MAX_DIM = 64
 
 
 def mat(rows) -> Matrix:
@@ -81,8 +85,14 @@ def _structure_from_dict(n, entries) -> tuple:
     return tuple(tuple(tuple(vec) for vec in row) for row in c)
 
 
+def _check_dim(dim: int):
+    """Raise ResourceError when dim exceeds MAX_DIM."""
+    check_budget("algebra dim", dim, MAX_DIM)
+
+
 def build_spec(dim, labels, bracket_entries, form_entries, name="lie") -> LieSpec:
     """Assemble a LieSpec from sparse entries, completing antisymmetry/symmetry."""
+    _check_dim(dim)
     entries = {}
     for (i, j, l), v in bracket_entries.items():
         v = Fraction(v)
@@ -113,6 +123,7 @@ def abelian(n: int) -> LieSpec:
     """Rank-n abelian algebra with the identity form: the Heisenberg case."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_dim(n)  # before the O(n) labels and form
     return build_spec(
         n,
         [f"a{i+1}" for i in range(n)],
@@ -176,17 +187,19 @@ def validate(spec: LieSpec) -> ValidationReport:
             for l in range(n):
                 if c[i][j][l] != -c[j][i][l]:
                     rep.add("antisymmetry", (i, j, l))
+    # the nonzero structure constants: the identity sums run over these only
+    nz = [[[(p, v) for p, v in enumerate(vec) if v] for vec in row] for row in c]
     for i in range(n):
         for j in range(n):
             for l in range(n):
-                for m in range(n):
-                    s = sum(
-                        c[j][l][p] * c[i][p][m]
-                        + c[l][i][p] * c[j][p][m]
-                        + c[i][j][p] * c[l][p][m]
-                        for p in range(n)
-                    )
-                    if s != 0:
+                # [xi_i, [xi_j, xi_l]] + cyclic, per output coordinate m
+                s = {}
+                for a, b, d in ((j, l, i), (l, i, j), (i, j, l)):
+                    for p, v in nz[a][b]:
+                        for m, w in nz[d][p]:
+                            s[m] = s.get(m, 0) + v * w
+                for m in sorted(s):
+                    if s[m] != 0:
                         rep.add("jacobi", (i, j, l, m))
     for i in range(n):
         for j in range(n):
@@ -196,8 +209,8 @@ def validate(spec: LieSpec) -> ValidationReport:
         for j in range(n):
             for l in range(n):
                 # B([xi_i, xi_j], xi_l) + B(xi_j, [xi_i, xi_l]) = 0
-                s = sum(c[i][j][p] * spec.form[p][l] for p in range(n))
-                s += sum(c[i][l][p] * spec.form[j][p] for p in range(n))
+                s = sum(v * spec.form[p][l] for p, v in nz[i][j])
+                s += sum(v * spec.form[j][p] for p, v in nz[i][l])
                 if s != 0:
                     rep.add("form_invariance", (i, j, l))
     if linalg.rank([dict(enumerate(row)) for row in spec.form]) != n:
@@ -309,6 +322,7 @@ def parse_config(text: str, name: str = "config"):
             raise ValueError(f"line outside any known section: {raw!r}")
     if dim is None:
         raise ValueError("config is missing [algebra] dim")
+    _check_dim(dim)  # before the O(dim) default labels
     if labels is None:
         labels = [f"g{i}" for i in range(dim)]
     if len(labels) != dim:

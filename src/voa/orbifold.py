@@ -357,9 +357,11 @@ def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> For
     return result
 
 
-#: (n, max weight) -> omega_dictionary, shared by remainder_direct calls so
-#: that each generator derivative and each descent stage is computed once;
-#: the weights are bounded by REMAINDER_MAX_M + 2
+#: rank n -> omega_dictionary(n, REMAINDER_MAX_M + 2), shared by every
+#: remainder_direct call of that rank so that each generator derivative and
+#: each descent stage is computed once.  Generators heavier than a call's
+#: weight give its candidates no letters, and stage keys start with the
+#: weight, so calls of different m neither see nor disturb each other's stages
 _OMEGA_CACHE = {}
 
 
@@ -409,10 +411,9 @@ def remainder_direct(n: int, I, J) -> Fraction:
     if m % 2:
         raise ParityError(f"|I|+|J|+2n = {m} is odd; the remainder needs even weight index")
     check_budget("weight index m", m, REMAINDER_MAX_M)
-    key = (n, m + 2)
-    if key not in _OMEGA_CACHE:
-        _OMEGA_CACHE[key] = omega_dictionary(n, m + 2)
-    dictionary = _OMEGA_CACHE[key]
+    dictionary = _OMEGA_CACHE.get(n)
+    if dictionary is None:
+        dictionary = _OMEGA_CACHE[n] = omega_dictionary(n, REMAINDER_MAX_M + 2)
     lifted = quantum_correction(rel, dictionary)
     tail = lifted.restrict_degree(dictionary, 2)
     coeff = pr_coefficient(tail, m)

@@ -41,7 +41,7 @@ class LevelPolynomial:
     polynomial is ``()`` over 1.  Equality and hashing use ``(ints, den)``.
     """
 
-    __slots__ = ("ints", "den", "_h")
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Fraction] = ()):
         cs = [Fraction(c) for c in coeffs]
@@ -51,7 +51,6 @@ class LevelPolynomial:
         den = lcm(*[c.denominator for c in cs])
         self.ints = tuple(c.numerator * (den // c.denominator) for c in cs)
         self.den = den
-        self._h = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -95,9 +94,7 @@ class LevelPolynomial:
         )
 
     def __hash__(self):
-        if self._h is None:
-            self._h = hash((self.ints, self.den))
-        return self._h
+        return hash((self.ints, self.den))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -235,7 +232,6 @@ def _wrap(ints: tuple, den: int) -> LevelPolynomial:
     p = LevelPolynomial.__new__(LevelPolynomial)
     p.ints = ints
     p.den = den
-    p._h = None
     return p
 
 
@@ -276,13 +272,12 @@ class LevelScalar:
     the zero scalar is 0/1.  Equality and hashing are structural.
     """
 
-    __slots__ = ("num", "den", "_h")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LevelPolynomial, den: LevelPolynomial):
         num, den = _normalize(num, den)
         self.num = num
         self.den = den
-        self._h = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -322,9 +317,7 @@ class LevelScalar:
         )
 
     def __hash__(self):
-        if self._h is None:
-            self._h = hash((self.num, self.den))
-        return self._h
+        return hash((self.num, self.den))
 
     # -- field arithmetic -----------------------------------------------------
 
@@ -427,7 +420,6 @@ def _mkscalar(num: LevelPolynomial, den: LevelPolynomial) -> "LevelScalar":
     s = LevelScalar.__new__(LevelScalar)
     s.num = num
     s.den = den
-    s._h = None
     return s
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from voa import cli
+from voa import cli, liedata
 
 SL2_CONFIG = """
 [algebra]
@@ -208,3 +208,122 @@ def test_sl2_generators_command(capsys):
         ("Qt[0,0]", 2), ("Qt[0,1]", 3), ("Qt[0,2]", 4), ("Qt[1,1]", 4),
     ]
     assert all(r["invariant"] and r["leading_symbol_ok"] for r in rows)
+
+
+def test_circle_result_weight_budget(capsys, monkeypatch):
+    # x_(n) y of two weight-1 generators has weight 1 - n
+    monkeypatch.setenv("VOA_MAX_WEIGHT", "3")
+    code, out, err = run(capsys, ["circle", "--algebra", "sl2", "--n", "-3", "x", "y"])
+    assert code == 2 and out == ""
+    assert "error[ResourceError]: result weight = 4 exceeds the bound 3" in err
+    code, out, _ = run(capsys, ["circle", "--algebra", "sl2", "--n", "-2", "x", "y"])
+    assert code == 0 and out.strip()
+
+
+def test_algebra_dim_bound(capsys, tmp_path):
+    over = liedata.MAX_DIM + 1
+    code, out, err = run(capsys, ["ope", "--algebra", f"heisenberg{over}", "a1", "a1"])
+    assert code == 2 and out == ""
+    assert f"error[ResourceError]: algebra dim = {over} exceeds the bound" in err
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[algebra]\ndim = {over}\n\n[form]\n0 0 = 1\n")
+    for argv in (["ope", "--algebra", str(cfg), "g0", "g0"],
+                 ["verify", "algebra", "--algebra", str(cfg)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"error[ResourceError]: algebra dim = {over} exceeds the bound" in err
+
+
+JACOBI_VIOLATING_CONFIG = """
+[algebra]
+dim = 3
+
+[brackets]
+0 1 2 = 1
+1 2 1 = 1
+
+[form]
+0 0 = 1
+1 1 = 1
+2 2 = 1
+"""
+
+DEGENERATE_FORM_CONFIG = """
+[algebra]
+dim = 2
+
+[form]
+0 0 = 1
+"""
+
+
+@pytest.mark.parametrize("text, failure", [
+    (JACOBI_VIOLATING_CONFIG, ["jacobi", "(0, 1, 2, 2)"]),
+    (DEGENERATE_FORM_CONFIG, ["form_nondegenerate", "()"]),
+], ids=["jacobi", "degenerate_form"])
+def test_verify_algebra_reports_invalid_algebra(capsys, tmp_path, text, failure):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, _ = run(capsys, ["verify", "algebra", "--algebra", str(cfg), "--json"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["valid"] is False and failure in data["failures"]
+    code, out, _ = run(capsys, ["verify", "algebra", "--algebra", str(cfg)])
+    assert code == 1 and f"FAIL {failure[0]} at {failure[1]}" in out
+    # every other command refuses the file
+    code, out, err = run(capsys, ["ope", "--algebra", str(cfg), "g0", "g0"])
+    assert code == 2 and out == ""
+    assert f"error[ValueError]: algebra {cfg} is invalid" in err
+
+
+# ad_h of sl2 in the root basis: x -> 2x, y -> -2y, h -> 0
+AD_H_BLOCK = "\n[action]\nlie\n2 0 0\n0 -2 0\n0 0 0\n"
+# the identity is neither a derivation of sl2 nor skew for its form
+IDENTITY_BLOCK = "\n[action]\nlie\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+def test_invariants_adjoint_and_config_actions(capsys, tmp_path):
+    code, out, _ = run(capsys, ["invariants", "--algebra", "sl2", "--action", "adjoint",
+                                "--weight", "2"])
+    assert code == 0 and out.splitlines()[0] == "dimension 1"
+    cfg = tmp_path / "sl2h.cfg"
+    cfg.write_text(SL2_CONFIG + AD_H_BLOCK)
+    code, out, _ = run(capsys, ["invariants", "--algebra", str(cfg), "--action", "config",
+                                "--weight", "2", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    # h-weight zero at weight 2: x(-1) y(-1), h(-1) h(-1), h(-2)
+    assert data["action"] == "sl2h-action" and data["dimension"] == 3
+    plain = tmp_path / "sl2.cfg"
+    plain.write_text(SL2_CONFIG)
+    code, out, err = run(capsys, ["invariants", "--algebra", str(plain), "--action", "config",
+                                  "--weight", "2"])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: --action config requires an [action] block" in err
+    code, out, err = run(capsys, ["invariants", "--algebra", "sl2", "--action", "spin",
+                                  "--weight", "2"])
+    assert code == 2 and out == ""
+    assert "error[KeyError]: unknown action 'spin'" in err
+
+
+def test_invalid_action_block(capsys, tmp_path):
+    cfg = tmp_path / "sl2id.cfg"
+    cfg.write_text(SL2_CONFIG + IDENTITY_BLOCK)
+    code, out, err = run(capsys, ["invariants", "--algebra", str(cfg), "--action", "config",
+                                  "--weight", "2"])
+    assert code == 2 and out == ""
+    assert "FAIL derivation at (0, 0, 1, 2)" in err
+    code, out, _ = run(capsys, ["verify", "algebra", "--algebra", str(cfg), "--json"])
+    assert code == 1
+    kinds = {kind for kind, _ in json.loads(out)["failures"]}
+    assert kinds == {"derivation", "skew"}
+
+
+def test_sugawara_check_default_hdual(capsys):
+    code, out, _ = run(capsys, ["sugawara-check", "--algebra", "sl2", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["h_dual"] == "2" and all(c["ok"] for c in data["checks"])
+    code, out, err = run(capsys, ["sugawara-check", "--algebra", "heisenberg2"])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: no built-in dual Coxeter number for heisenberg2" in err

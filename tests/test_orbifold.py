@@ -8,7 +8,7 @@ from voa import classical as cl
 from voa import liedata, linalg, orbifold as ob
 from voa import vertexcore as vc
 from voa.classical import det_relation
-from voa.errors import ParityError, ResourceError
+from voa.errors import DescentStuck, ParityError, ResourceError
 from voa.scalars import K, ONE
 from voa.vertexcore import State
 
@@ -239,6 +239,25 @@ def test_normal_ordering_leading_symbol():
 def test_quantum_correction_zero_relation():
     d = ob.omega_dictionary(1, 4)
     assert ob.quantum_correction(cl.QSymbolPoly.zero(), d) == ob.FormalNOP.zero()
+
+
+def test_quantum_correction_stuck_without_heavier_generators():
+    # the weight-6 degree-2 residue needs Om[a,b] with a + b = 4
+    rel = det_relation(1, (0, 1), (0, 1))
+    with pytest.raises(DescentStuck) as info:
+        ob.quantum_correction(rel, ob.omega_dictionary(1, 4))
+    assert info.value.degree == 2
+
+
+def test_remainder_direct_shares_one_dictionary_per_rank():
+    ob._OMEGA_CACHE.clear()
+    for I, J in [((0, 1), (0, 1)), ((0, 1), (0, 3)), ((0, 2), (1, 3))]:
+        # the same value as with a dictionary cut at the pair's own weight
+        m = sum(I) + sum(J) + 2
+        d = ob.omega_dictionary(1, m + 2)
+        tail = ob.quantum_correction(det_relation(1, I, J), d).restrict_degree(d, 2)
+        assert ob.remainder_direct(1, I, J) == ob.pr_coefficient(tail, m).evaluate_at(1)
+    assert list(ob._OMEGA_CACHE) == [1]
 
 
 def test_pr_coefficient_examples():
