@@ -177,6 +177,14 @@ def orthogonal_action(n: int) -> ActionSpec:
 # -- validation ----------------------------------------------------------------
 
 
+def _nonzero_constants(spec: LieSpec):
+    """nz[i][j]: the (l, c) with c the nonzero coefficient of xi_l in [xi_i, xi_j].
+
+    The identity sums of the validators run over these only.
+    """
+    return [[[(p, v) for p, v in enumerate(vec) if v] for vec in row] for row in spec.structure]
+
+
 def validate(spec: LieSpec) -> ValidationReport:
     """Check antisymmetry, Jacobi, form symmetry, invariance, nondegeneracy."""
     n = spec.dim
@@ -187,8 +195,7 @@ def validate(spec: LieSpec) -> ValidationReport:
             for l in range(n):
                 if c[i][j][l] != -c[j][i][l]:
                     rep.add("antisymmetry", (i, j, l))
-    # the nonzero structure constants: the identity sums run over these only
-    nz = [[[(p, v) for p, v in enumerate(vec) if v] for vec in row] for row in c]
+    nz = _nonzero_constants(spec)
     for i in range(n):
         for j in range(n):
             for l in range(n):
@@ -221,34 +228,54 @@ def validate(spec: LieSpec) -> ValidationReport:
 def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
     """Check derivation/skew laws for lie generators and preservation for finite elements."""
     n = spec.dim
-    c = spec.structure
     B = spec.form
     rep = ValidationReport()
+    nz = _nonzero_constants(spec)
+
+    def columns(m):
+        """The nonzero entries of each column of m, as (row, entry) pairs."""
+        return [[(p, m[p][a]) for p in range(n) if m[p][a]] for a in range(n)]
+
     for gi, rho in enumerate(action.lie_generators):
+        col = columns(rho)
         for a in range(n):
             for b in range(n):
-                for i in range(n):
-                    lhs = sum(c[a][b][l] * rho[i][l] for l in range(n))
-                    rhs = sum(rho[p][a] * c[p][b][i] for p in range(n))
-                    rhs += sum(rho[p][b] * c[a][p][i] for p in range(n))
-                    if lhs != rhs:
+                # rho[a, b] - [rho a, b] - [a, rho b], per output coordinate i
+                s = {}
+                for l, v in nz[a][b]:
+                    for i, r in col[l]:
+                        s[i] = s.get(i, 0) + v * r
+                for p, r in col[a]:
+                    for i, v in nz[p][b]:
+                        s[i] = s.get(i, 0) - r * v
+                for p, r in col[b]:
+                    for i, v in nz[a][p]:
+                        s[i] = s.get(i, 0) - r * v
+                for i in sorted(s):
+                    if s[i] != 0:
                         rep.add("derivation", (gi, a, b, i))
-                s = sum(rho[p][a] * B[p][b] for p in range(n))
-                s += sum(rho[p][b] * B[a][p] for p in range(n))
-                if s != 0:
+                t = sum(r * B[p][b] for p, r in col[a])
+                t += sum(r * B[a][p] for p, r in col[b])
+                if t != 0:
                     rep.add("skew", (gi, a, b))
     for mi, M in enumerate(action.finite_elements):
+        col = columns(M)
         for a in range(n):
             for b in range(n):
-                for i in range(n):
-                    lhs = sum(c[a][b][l] * M[i][l] for l in range(n))
-                    rhs = sum(
-                        M[p][a] * M[q][b] * c[p][q][i] for p in range(n) for q in range(n)
-                    )
-                    if lhs != rhs:
+                # M[a, b] - [M a, M b], per output coordinate i
+                s = {}
+                for l, v in nz[a][b]:
+                    for i, x in col[l]:
+                        s[i] = s.get(i, 0) + v * x
+                for p, x in col[a]:
+                    for q, y in col[b]:
+                        for i, v in nz[p][q]:
+                            s[i] = s.get(i, 0) - x * y * v
+                for i in sorted(s):
+                    if s[i] != 0:
                         rep.add("finite_bracket", (mi, a, b, i))
-                s = sum(M[p][a] * M[q][b] * B[p][q] for p in range(n) for q in range(n))
-                if s != B[a][b]:
+                t = sum(x * y * B[p][q] for p, x in col[a] for q, y in col[b])
+                if t != B[a][b]:
                     rep.add("finite_form", (mi, a, b))
     return rep
 

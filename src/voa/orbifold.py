@@ -101,7 +101,7 @@ class GeneratorDictionary:
         self.entries = {}
         self._deriv_cache = {}
         #: (weight, max_degree, exact_degree) -> (candidates, linalg.factor
-        #: solver of their evaluations), filled by express_in_generators
+        #: solver of their columns), filled by express_in_generators
         self._stages = {}
 
     def add(self, symbol: str, state: State):
@@ -218,6 +218,22 @@ def sl2_tilde_c(k: int, l: int, m: int) -> State:
 # -- invariant subspaces -----------------------------------------------------------
 
 
+#: most weight-w monomials invariant_subspace enumerates; abelian(4) at weight 8
+#: (2,580 monomials) takes about 7 s, at weight 10 (10,108) about 100 s
+INVARIANT_MAX_MONOMIALS = 3000
+
+
+def _count_weight_monomials(n: int, w: int) -> int:
+    """The number of weight-w monomials over n generators: the q^w
+    coefficient of prod_{d >= 1} (1 - q^d)^(-n)."""
+    counts = [1] + [0] * w
+    for depth in range(1, w + 1):
+        for _ in range(n):
+            for j in range(depth, w + 1):
+                counts[j] += counts[j - depth]
+    return counts[w]
+
+
 def _weight_monomials(n: int, w: int):
     """All canonical monomials of weight w, in increasing key order."""
     # factors (gen, depth) in canonical order: depth descending, gen ascending
@@ -230,10 +246,14 @@ def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
 
     Computed as the joint kernel of the infinitesimal generators intersected
     with the fixed spaces of the finite elements; all coefficients are
-    level-independent rationals.
+    level-independent rationals.  Raises ResourceError, before enumerating
+    anything, when there are more than INVARIANT_MAX_MONOMIALS monomials of
+    weight w.
     """
     if w < 0:
         raise ValueError("weight must be nonnegative")
+    check_budget(f"weight-{w} monomials", _count_weight_monomials(spec.dim, w),
+                 INVARIANT_MAX_MONOMIALS)
     basis = _weight_monomials(spec.dim, w)
     images = [lambda s, r=rho: vc.lie_act(spec, r, s) for rho in action.lie_generators]
     images += [lambda s, M=M: vc.apply_group_element(spec, M, s) - s
@@ -269,6 +289,29 @@ def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_de
     return sorted((m for m in monos if m), key=lambda m: (dictionary.monomial_degree(m), m))
 
 
+def _canonical_factor_order(factor):
+    """Sort key of a monomial factor (gen, depth): depth descending, gen ascending."""
+    return -factor[1], factor[0]
+
+
+def _graded_product(mono: NopMono, dictionary: GeneratorDictionary) -> dict:
+    """The degree-d component of a degree-d monomial's evaluation, as terms.
+
+    In the degree filtration the associated graded of the vacuum module is a
+    polynomial ring, so that component is the commutative product of the
+    factors' top-degree components: no Wick evaluation is needed.
+    """
+    acc = {(): ONE}
+    for s, t in mono:
+        top = dictionary.factor_state(s, t).degree_component(dictionary[s].degree).terms
+        product = {}
+        for m1, c1 in acc.items():
+            merge(product, {tuple(sorted(m1 + m2, key=_canonical_factor_order)): c2
+                            for m2, c2 in top.items()}, c1)
+        acc = product
+    return acc
+
+
 def express_in_generators(target: State, dictionary: GeneratorDictionary,
                           max_degree: int, exact_degree: int = None):
     """Solve target = normally ordered polynomial in the dictionary, or None.
@@ -276,13 +319,16 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
     The linear system is solved exactly over Q(k) with deterministic pivoting;
     free coefficients are set to zero.  With exact_degree set, only the
     degree-exact_degree component of each evaluation is matched against target
-    (the descent step of the quantum-correction algorithm).
+    (the descent step of the quantum-correction algorithm).  Such a stage is
+    built in the associated graded: since gr of the vacuum module is a
+    polynomial ring, that component is the commutative product of the
+    factors' top-degree components, so no candidate is Wick-evaluated.
 
     The system's matrix depends only on (weight, max_degree, exact_degree),
     so the dictionary keeps each such stage: its candidate monomials and a
-    ``linalg.factor`` solver of their evaluations.  The first call of a stage
-    evaluates and eliminates; a later call only replays the elimination on
-    its target.  Adding a generator empties the stages.
+    ``linalg.factor`` solver of their columns.  The first call of a stage
+    builds the columns and eliminates; a later call only replays the
+    elimination on its target.  Adding a generator empties the stages.
     """
     w = vc.weight(target)
     if w is None:
@@ -293,16 +339,14 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
     stage = dictionary._stages.get(key)
     if stage is None:
         candidates = enumerate_nop_monomials(dictionary, w, max_degree)
-        if exact_degree is not None:
+        if exact_degree is None:
+            columns = [evaluate_nop(FormalNOP({mono: ONE}), dictionary).terms
+                       for mono in candidates]
+        else:
             candidates = [
                 m for m in candidates if dictionary.monomial_degree(m) == exact_degree
             ]
-        columns = []
-        for mono in candidates:
-            st = evaluate_nop(FormalNOP({mono: ONE}), dictionary)
-            if exact_degree is not None:
-                st = st.degree_component(exact_degree)
-            columns.append(st.terms)
+            columns = [_graded_product(mono, dictionary) for mono in candidates]
         stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
     candidates, solver = stage
     sol = solver(target.terms, ZERO)

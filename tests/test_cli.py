@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from voa import cli, liedata
+from voa import cli, liedata, orbifold
 
 SL2_CONFIG = """
 [algebra]
@@ -232,6 +232,27 @@ def test_algebra_dim_bound(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert f"error[ResourceError]: algebra dim = {over} exceeds the bound" in err
+
+
+def test_invariants_monomial_budget(capsys, monkeypatch):
+    # weight 12 is within VOA_MAX_WEIGHT, but dim 16 has 381,946,360 monomials there
+    def refuse(n, w):
+        raise AssertionError("the monomials were enumerated")
+
+    monkeypatch.setattr(orbifold, "_weight_monomials", refuse)
+    code, out, err = run(capsys, ["invariants", "--algebra", "heisenberg16",
+                                  "--action", "orthogonal", "--weight", "12"])
+    assert code == 2 and out == ""
+    assert ("error[ResourceError]: weight-12 monomials = 381946360 exceeds the bound "
+            f"{orbifold.INVARIANT_MAX_MONOMIALS}") in err
+
+
+def test_invariants_monomial_budget_admits_rank2_weight10(capsys):
+    assert orbifold._count_weight_monomials(2, 10) == 481
+    code, out, _ = run(capsys, ["invariants", "--algebra", "heisenberg2",
+                                "--action", "orthogonal", "--weight", "10", "--json"])
+    assert code == 0
+    assert json.loads(out)["dimension"] == 35
 
 
 JACOBI_VIOLATING_CONFIG = """

@@ -1,13 +1,17 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from voa import liedata
 from voa.liedata import (
+    ActionSpec,
     abelian,
     adjoint_action,
     build_spec,
     builtin_algebra,
+    mat,
     orthogonal_action,
     parse_config,
     sl2_spec,
@@ -90,6 +94,59 @@ def test_orthogonal_action_rank1():
     act = orthogonal_action(1)
     assert act.lie_generators == ()
     assert act.finite_elements == (((-1,),),)
+
+
+def _dense_validate_action(spec, action):
+    """The failures of validate_action, by the defining sums over all indices."""
+    n, c, B = spec.dim, spec.structure, spec.form
+    failures = []
+    for gi, rho in enumerate(action.lie_generators):
+        for a in range(n):
+            for b in range(n):
+                for i in range(n):
+                    lhs = sum(c[a][b][l] * rho[i][l] for l in range(n))
+                    rhs = sum(rho[p][a] * c[p][b][i] for p in range(n))
+                    rhs += sum(rho[p][b] * c[a][p][i] for p in range(n))
+                    if lhs != rhs:
+                        failures.append(("derivation", (gi, a, b, i)))
+                s = sum(rho[p][a] * B[p][b] + rho[p][b] * B[a][p] for p in range(n))
+                if s != 0:
+                    failures.append(("skew", (gi, a, b)))
+    for mi, M in enumerate(action.finite_elements):
+        for a in range(n):
+            for b in range(n):
+                for i in range(n):
+                    lhs = sum(c[a][b][l] * M[i][l] for l in range(n))
+                    rhs = sum(M[p][a] * M[q][b] * c[p][q][i]
+                              for p in range(n) for q in range(n))
+                    if lhs != rhs:
+                        failures.append(("finite_bracket", (mi, a, b, i)))
+                s = sum(M[p][a] * M[q][b] * B[p][q] for p in range(n) for q in range(n))
+                if s != B[a][b]:
+                    failures.append(("finite_form", (mi, a, b)))
+    return failures
+
+
+@pytest.mark.parametrize("spec", [sl2_spec(), abelian(3)], ids=["sl2", "abelian3"])
+def test_validate_action_matches_dense_sums(spec):
+    rng = random.Random(20261019)
+
+    def sparse_matrix():
+        return mat([[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(3)] for _ in range(3)])
+
+    for _ in range(20):
+        action = ActionSpec(tuple(sparse_matrix() for _ in range(2)),
+                            tuple(sparse_matrix() for _ in range(2)))
+        assert validate_action(spec, action).failures == _dense_validate_action(spec, action)
+    for action in (adjoint_action(sl2_spec()), orthogonal_action(3)):
+        assert validate_action(spec, action).failures == _dense_validate_action(spec, action)
+
+
+def test_validate_action_is_sparse():
+    # the dense sums took about 23 s on this pair
+    start = time.perf_counter()
+    assert validate_action(abelian(12), orthogonal_action(12)).ok
+    assert time.perf_counter() - start < 1.0
 
 
 SL2_CONFIG = """

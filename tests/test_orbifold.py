@@ -152,6 +152,16 @@ def _count_stage_work(monkeypatch):
     return counts
 
 
+def _assert_built_once(counts, exact_degree):
+    """One elimination; Wick evaluations only for a stage of no exact degree,
+    since an exact-degree stage multiplies top components instead."""
+    assert counts["factor"] == 1
+    if exact_degree is None:
+        assert counts["evaluate_nop"] > 0
+    else:
+        assert counts["evaluate_nop"] == 0
+
+
 # (dictionary's max weight, max_degree, exact_degree, targets of one stage);
 # the last stage has no solution for its first target
 STAGES = [
@@ -181,7 +191,7 @@ def test_express_in_generators_reuses_each_stage(
     d = ob.omega_dictionary(1, max_weight)
     first, *rest = targets
     assert ob.express_in_generators(first, d, max_degree, exact_degree) == fresh[0]
-    assert counts["evaluate_nop"] > 0 and counts["factor"] == 1
+    _assert_built_once(counts, exact_degree)
     for target, want in zip(rest, fresh[1:]):
         counts.update(evaluate_nop=0, factor=0)
         assert ob.express_in_generators(target, d, max_degree, exact_degree) == want
@@ -190,9 +200,63 @@ def test_express_in_generators_reuses_each_stage(
     d.add("Extra", ob.omega(1, 0, 2))
     counts.update(evaluate_nop=0, factor=0)
     again = ob.express_in_generators(first, d, max_degree, exact_degree)
-    assert counts["evaluate_nop"] > 0 and counts["factor"] == 1
+    _assert_built_once(counts, exact_degree)
     if max_weight == 2:
         assert again is not None
+
+
+def _sl2_tilde_dictionary():
+    d = ob.GeneratorDictionary(SL2)
+    for sym, state in [("q00", ob.sl2_tilde_q(0, 0)), ("q01", ob.sl2_tilde_q(0, 1)),
+                       ("q11", ob.sl2_tilde_q(1, 1)), ("c012", ob.sl2_tilde_c(0, 1, 2))]:
+        d.add(sym, state)
+    return d
+
+
+def _sl2_bare_dictionary():
+    d = ob.GeneratorDictionary(SL2)
+    for i, sym in enumerate("xyh"):
+        d.add(sym, State.generator(i))
+    return d
+
+
+@pytest.mark.parametrize("make, max_weight", [
+    (lambda: ob.omega_dictionary(1, 8), 8),
+    (lambda: ob.omega_dictionary(2, 6), 6),
+    (_sl2_tilde_dictionary, 7),
+    (_sl2_bare_dictionary, 4),
+], ids=["omega-rank1", "omega-rank2", "sl2-tilde", "sl2-bare"])
+def test_graded_product_matches_full_evaluation(make, max_weight):
+    # an exact-degree stage column is the top component of the Wick evaluation
+    d = make()
+    count = 0
+    for w in range(1, max_weight + 1):
+        for mono in ob.enumerate_nop_monomials(d, w, w):
+            deg = d.monomial_degree(mono)
+            full = ob.evaluate_nop(ob.FormalNOP({mono: ONE}), d)
+            assert ob._graded_product(mono, d) == full.degree_component(deg).terms, mono
+            count += 1
+    assert count > 0
+
+
+def test_quantum_correction_evaluates_only_orderings_and_corrections(monkeypatch):
+    # one full evaluation for the normal ordering and one per correction;
+    # the stages it builds evaluate nothing
+    counts = _count_stage_work(monkeypatch)
+    corrections = []
+    plain = ob.express_in_generators
+
+    def recorded(*args, **kw):
+        corrections.append(plain(*args, **kw))
+        return corrections[-1]
+
+    monkeypatch.setattr(ob, "express_in_generators", recorded)
+    rel = det_relation(1, (0, 1), (0, 1))
+    lifted = ob.quantum_correction(rel, ob.omega_dictionary(1, 6))
+    assert corrections and all(corrections)
+    assert counts["evaluate_nop"] == 1 + len(corrections)
+    assert counts["factor"] == len(corrections)
+    assert lifted.terms
 
 
 def test_quantum_correction_pipeline():
