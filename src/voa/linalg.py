@@ -10,8 +10,10 @@ pass cached ``State.terms`` maps as they are.
 ``factor``, ``kernel_basis`` and ``rank`` all run one elimination,
 ``_eliminate``, on rows kept as dicts ``{column: nonzero entry}``.  Columns
 are taken left to right.  A column's pivot row is the unused row with the
-fewest entries, ties going to the row met first; it is scaled so that the
-pivot is 1, and the column is cleared from every other row.  Only stored
+fewest entries, ties going to the lowest row number; it is scaled so that
+the pivot is 1, and the column is cleared from every other row.  An index
+from each column to the rows holding an entry there, kept up to date on
+fill-in and cancellation, means a step visits only those rows.  Only stored
 entries are updated and an entry that cancels is dropped, so the cost
 follows the nonzeros rather than the matrix size, and taking the sparsest
 row keeps the fill-in small.
@@ -46,6 +48,7 @@ def _eliminate(columns):
     row, which is 1 at the pivot.
     """
     rows, index = [], {}
+    holders = [set() for _ in columns]  # column -> rows with an entry there
     for j, col in enumerate(columns):
         for coord, v in col.items():
             if v:
@@ -54,30 +57,39 @@ def _eliminate(columns):
                     i = index[coord] = len(rows)
                     rows.append({})
                 rows[i][j] = v
-    live = list(range(len(rows)))  # rows not yet used as a pivot, in order
+                holders[j].add(i)
+    used = set()  # rows already used as a pivot
     steps, pivots = [], {}
-    for c in range(len(columns)):
-        p = min((i for i in live if c in rows[i]), key=lambda i: len(rows[i]), default=None)
+    for c, held in enumerate(holders):
+        p = min(
+            (i for i in held if i not in used), key=lambda i: (len(rows[i]), i), default=None
+        )
         if p is None:
             continue
-        live.remove(p)
+        used.add(p)
         piv = rows[p][c]
         prow = rows[p] = {j: v / piv for j, v in rows[p].items()}
         ops = []
-        for i, row in enumerate(rows):
-            f = row.pop(c, None) if i != p else None
-            if f is None:
+        for i in sorted(held):
+            if i == p:
                 continue
+            row = rows[i]
+            f = row.pop(c)
             ops.append((i, f))
             for j, v in prow.items():
                 if j == c:
                     continue
                 s = row.get(j)
-                s = -(f * v) if s is None else s - f * v
+                if s is None:
+                    row[j] = -(f * v)
+                    holders[j].add(i)
+                    continue
+                s -= f * v
                 if s:
                     row[j] = s
                 else:
                     del row[j]
+                    holders[j].discard(i)
         steps.append((c, p, piv, ops))
         pivots[c] = prow
     return index, steps, pivots

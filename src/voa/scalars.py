@@ -11,6 +11,12 @@ factor (the content and primitive part of von zur Gathen & Gerhard, *Modern
 Computer Algebra*, ch. 6).  Sums and products are integer work with one gcd
 reduction; ``Fraction``s appear only at the edges (``coeffs``, ``leading``,
 ``evaluate``, rendering) and inside polynomial division.
+
+Most ``LevelScalar`` products in the vertex engine have a factor that is 1 or
+an integer constant (the coefficient of a sorted word, a structure constant,
+a binomial).  Such a factor is a unit of Q(k), so the product, and ``scale``
+by an ``int``, skips the gcds and the polynomial product: it scales the other
+numerator's integers and keeps the other denominator.
 """
 
 from __future__ import annotations
@@ -335,8 +341,18 @@ class LevelScalar:
         return _mkscalar(-self.num, self.den)
 
     def __mul__(self, other: "LevelScalar") -> "LevelScalar":
-        if not self.num.ints or not other.num.ints:
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
+        a, b = self.num, other.num
+        if not a.ints or not b.ints:
             return ZERO
+        # a factor that is an integer constant is a unit: only integers move
+        if self.den is _P_ONE and a.den == 1 and len(a.ints) == 1:
+            return _times_int(other, a.ints[0])
+        if other.den is _P_ONE and b.den == 1 and len(b.ints) == 1:
+            return _times_int(self, b.ints[0])
         if self.den is _P_ONE and other.den is _P_ONE:
             return _mkscalar(self.num * other.num, _P_ONE)
         # cross-reduce before multiplying to keep intermediate degrees down
@@ -359,6 +375,8 @@ class LevelScalar:
         return LevelScalar(self.den, self.num)
 
     def scale(self, q) -> "LevelScalar":
+        if type(q) is int:
+            return _times_int(self, q) if q else ZERO
         q = Fraction(q)
         if not q:
             return ZERO
@@ -421,6 +439,21 @@ def _mkscalar(num: LevelPolynomial, den: LevelPolynomial) -> "LevelScalar":
     s.num = num
     s.den = den
     return s
+
+
+def _times_int(s: LevelScalar, n: int) -> LevelScalar:
+    """``s`` times the nonzero integer ``n``, in normal form.
+
+    A nonzero constant is a unit of Q(k), so the numerator's integers are
+    scaled, ``gcd(n, num.den)`` is divided out, and the denominator object is
+    kept: still coprime to the numerator, monic, and ``_P_ONE`` if it was.
+    """
+    if n == 1:
+        return s
+    num = s.num
+    g = gcd(n, num.den)
+    n //= g
+    return _mkscalar(_wrap(tuple([c * n for c in num.ints]), num.den // g), s.den)
 
 
 ZERO = LevelScalar(_P_ZERO, _P_ONE)

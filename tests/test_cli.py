@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -348,3 +349,29 @@ def test_sugawara_check_default_hdual(capsys):
     code, out, err = run(capsys, ["sugawara-check", "--algebra", "heisenberg2"])
     assert code == 2 and out == ""
     assert "error[ValueError]: no built-in dual Coxeter number for heisenberg2" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The CI step's --json commands.  Each file under tests/golden/ is the
+# command's standard output, written with
+#   PYTHONPATH=src PYTHONHASHSEED=1 python -m voa.cli <argv> > tests/golden/<name>.json
+# at commit bcbf7e7, before the integer fast path in LevelScalar products.
+GOLDEN_COMMANDS = {
+    "table1": ["table1", "--n-max", "6", "--json"],
+    "decouple": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j4",
+                 "--json"],
+    "invariants": ["invariants", "--algebra", "heisenberg2", "--action", "orthogonal",
+                   "--weight", "4", "--json"],
+    "remainder-direct": ["remainder-direct", "--n", "2", "--I", "0,1,2", "--J", "0,1,4",
+                         "--json"],
+    "sl2-generators": ["sl2-generators", "--max-weight", "6", "--json"],
+    "ope": ["ope", "--algebra", "sl2", "x", "y", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_json_output_matches_golden_file(capsys, name):
+    code, out, _ = run(capsys, GOLDEN_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

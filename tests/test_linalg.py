@@ -1,14 +1,16 @@
 """Direct tests of the sparse elimination in voa.linalg.
 
 Answers are checked by their defining properties (multiplying back, unit
-free columns, rank + nullity), not against another elimination.
+free columns, rank + nullity).  The elimination's record itself is checked
+against the row-scanning elimination it replaced, kept below as an oracle.
 """
 
 import copy
 import random
 from fractions import Fraction
 
-from voa import linalg
+from voa import linalg, orbifold
+from voa.liedata import abelian, orthogonal_action
 from voa.scalars import K, ONE, ZERO, LevelScalar
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -235,3 +237,118 @@ def test_factor_edge_cases():
     assert empty({}, F0) == []
     assert empty({"a": F0}, F0) == []
     assert empty({"a": F1}, F0) is None
+
+
+# -- the row-scanning elimination as an oracle ------------------------------------
+
+
+def reference_eliminate(columns):
+    """``linalg._eliminate`` as it was before its column -> rows index: each
+    pivot step scans every live row for the pivot and visits every row."""
+    rows, index = [], {}
+    for j, col in enumerate(columns):
+        for coord, v in col.items():
+            if v:
+                i = index.get(coord)
+                if i is None:
+                    i = index[coord] = len(rows)
+                    rows.append({})
+                rows[i][j] = v
+    live = list(range(len(rows)))
+    steps, pivots = [], {}
+    for c in range(len(columns)):
+        p = min((i for i in live if c in rows[i]), key=lambda i: len(rows[i]), default=None)
+        if p is None:
+            continue
+        live.remove(p)
+        piv = rows[p][c]
+        prow = rows[p] = {j: v / piv for j, v in rows[p].items()}
+        ops = []
+        for i, row in enumerate(rows):
+            f = row.pop(c, None) if i != p else None
+            if f is None:
+                continue
+            ops.append((i, f))
+            for j, v in prow.items():
+                if j == c:
+                    continue
+                s = row.get(j)
+                s = -(f * v) if s is None else s - f * v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+        steps.append((c, p, piv, ops))
+        pivots[c] = prow
+    return index, steps, pivots
+
+
+def sparse_matrix(rng, draw, zero):
+    """Columns over a few coords: empty and all-zero columns, and repeated
+    columns and combinations of earlier ones (rank deficient)."""
+    coords = list(range(rng.randint(0, 7)))
+    columns = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.1:
+            col = {}
+        elif kind < 0.2:
+            col = {c: zero for c in rng.sample(coords, min(2, len(coords)))}
+        elif kind < 0.4 and columns:
+            col = {}
+            for earlier in rng.sample(columns, min(2, len(columns))):
+                f = draw()
+                for c, v in earlier.items():
+                    col[c] = col.get(c, zero) + f * v
+        else:
+            col = {c: draw() for c in rng.sample(coords, rng.randint(0, len(coords)))}
+        columns.append(col)
+        if rng.random() < 0.2:
+            columns.append(dict(col))
+    return columns
+
+
+def _rows(columns):
+    """The column sets of the rows, one per coord with a nonzero entry."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for coord, v in col.items():
+            if v:
+                rows.setdefault(coord, set()).add(j)
+    return rows.values()
+
+
+def test_elimination_record_matches_row_scanning_oracle():
+    rng = random.Random(20261021)
+
+    def draw_fraction():
+        return Fraction(rng.choice((-2, -1, 1, 1, 2, 3)), rng.randint(1, 3))
+
+    def draw_level():
+        return K.scale(rng.randint(-1, 1)) + LevelScalar.from_fraction(rng.choice((-1, 1, 2)))
+
+    ties = deficient = 0
+    for draw, zero in [(draw_fraction, F0)] * 300 + [(draw_level, ZERO)] * 100:
+        columns = sparse_matrix(rng, draw, zero)
+        before = copy.deepcopy(columns)
+        got = linalg._eliminate(columns)
+        assert got == reference_eliminate(columns)
+        assert columns == before
+        lengths = [len(r) for r in _rows(columns)]
+        ties += len(lengths) != len(set(lengths))  # rows of equal length
+        deficient += len(got[2]) < sum(1 for col in columns if any(col.values()))
+    assert ties > 100 and deficient > 100
+
+
+def test_elimination_record_on_invariant_subspace_columns(monkeypatch):
+    seen = []
+    kernel_basis = linalg.kernel_basis
+
+    def record(columns, ncols, zero, one):
+        seen.append(columns)
+        return kernel_basis(columns, ncols, zero, one)
+
+    monkeypatch.setattr(linalg, "kernel_basis", record)
+    orbifold.invariant_subspace(abelian(3), orthogonal_action(3), 6)
+    assert len(seen) == 1 and len(seen[0]) > 100
+    assert linalg._eliminate(seen[0]) == reference_eliminate(seen[0])

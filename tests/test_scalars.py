@@ -346,3 +346,75 @@ def test_zero_polynomial_normal_form():
         assert str(z) == "0" and z.to_json() == []
     z = LevelScalar(p - p, p)
     assert z == ZERO and z.num.ints == () and z.den is _P_ONE
+
+
+# -- the integer fast path against the reference ----------------------------------
+
+
+def _operand(num, den=(1,)):
+    """A scalar and its reference normal form, from coefficient lists."""
+    n, d = [Fraction(c) for c in num], [Fraction(c) for c in den]
+    return LevelScalar(LevelPolynomial(n), LevelPolynomial(d)), ref_normal(RefPoly(n), RefPoly(d))
+
+
+def _fast_path_operands(rng):
+    """Operands ``_pair`` almost never gives: 1, -1, small and large integers,
+    polynomials over a denominator above 1, and rational functions."""
+    big = 10**20 + 7
+    ops = [_operand(c) for c in ((1,), (-1,), (2,), (-3,), (6,), (4,), (-9,),
+                                 (big,), (-(2**70),), (Fraction(3, 2),), (0,))]
+    ops += [
+        _operand((Fraction(1, 3), Fraction(1, 2)), (1, 1)),  # (k/2 + 1/3)/(k+1)
+        _operand((Fraction(1, 3), Fraction(1, 2))),  # k/2 + 1/3
+        _operand((0, Fraction(5, 6), 0, Fraction(-1, 4))),
+        _operand((2, -4, 6), (3, 3)),  # (2 - 4k + 6k^2)/(3 + 3k)
+        _operand((0, 1), (1, 0, 1)),  # k/(1 + k^2)
+        _operand((big, -big), (-1, 2)),
+    ]
+    while len(ops) < 23:
+        den = _random_coeffs(rng)
+        if any(den):
+            ops.append(_operand(_random_coeffs(rng), den))
+    return ops
+
+
+def assert_scalar_matches(s, ref):
+    assert_matches(s.num, ref[0])
+    assert_matches(s.den, ref[1])
+    assert (s.den is _P_ONE) == (len(ref[1].coeffs) == 1)
+
+
+def _same_fields(a, b):
+    return (a.num.ints, a.num.den, a.den.ints, a.den.den) == (b.num.ints, b.num.den, b.den.ints, b.den.den)
+
+
+def test_integer_fast_path_matches_fraction_reference():
+    rng = random.Random(20261020)
+    ops = _fast_path_operands(rng)
+    for s, rs in ops:
+        assert_scalar_matches(s, rs)
+        assert ONE * s is s and s * ONE is s
+        for t, rt in ops:
+            got = s * t
+            assert_scalar_matches(got, ref_normal(rs[0] * rt[0], rs[1] * rt[1]))
+            assert _same_fields(got, t * s)
+            if s.den is _P_ONE and t.den is _P_ONE:
+                assert got.den is _P_ONE
+            if s.is_constant() and s.as_fraction().denominator == 1 and s and t:
+                assert got.den is t.den  # the integer path keeps the other denominator
+        for n in (0, 1, -1, 2, -3, 6, 4, -9, 10**20 + 7, -(2**70)):
+            got = s.scale(n)
+            assert_scalar_matches(got, ref_normal(rs[0].scale(n), rs[1]))
+            assert _same_fields(got, s.scale(Fraction(n)))
+            if s.den is _P_ONE:
+                assert got.den is _P_ONE
+        assert s.scale(1) is s
+
+
+def test_integer_times_polynomial_over_a_denominator():
+    s, _ = _operand((Fraction(1, 3), Fraction(1, 2)), (1, 1))  # (k/2 + 1/3)/(k+1)
+    assert (s.num.ints, s.num.den) == ((2, 3), 6)
+    for n, ints, den in ((6, (2, 3), 1), (4, (4, 6), 3), (-9, (-6, -9), 2)):
+        for got in (s.scale(n), s * LevelScalar.from_fraction(n), LevelScalar.from_fraction(n) * s):
+            assert (got.num.ints, got.num.den) == (ints, den)
+            assert got.den is s.den
