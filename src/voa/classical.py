@@ -10,6 +10,7 @@ adjoint-sl2 cubics C_{klm}, with their determinantal relation families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -20,6 +21,20 @@ from .terms import Terms, merge, sort_sign, weighted_multisets
 
 # sl2 classical variable families, in the basis order of liedata.sl2_spec()
 SL2_X, SL2_Y, SL2_H = 0, 1, 2
+
+#: entries kept by each of the caches of weyl_q, sl2_q and sl2_c, which
+#: hand every caller the same object (polynomials are never mutated), so a
+#: substitution builds each symbol's image once
+IMAGE_CACHE_SIZE = 256
+
+
+def _exact(c):
+    """The exact rational c: an int as it is, anything else as a Fraction,
+    which comes back as its numerator, an int, when it is integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _product(self, other):
@@ -37,16 +52,17 @@ class ClassicalPoly(Terms):
     """Exact polynomial in the variables x_{i,j}; terms map monomial keys to Q.
 
     A key is the sorted tuple of the variables (i, j) of the monomial, each
-    repeated as often as its exponent.
+    repeated as often as its exponent.  Coefficients are exact rationals:
+    ``int`` when ``coerce`` sees an integral value, otherwise ``Fraction``.
     """
 
     __slots__ = ()
 
-    coerce = Fraction
+    coerce = staticmethod(_exact)
 
     @staticmethod
     def variable(i: int, j: int) -> "ClassicalPoly":
-        return ClassicalPoly({((i, j),): Fraction(1)})
+        return ClassicalPoly.wrap({((i, j),): 1})
 
     __mul__ = _product
 
@@ -97,6 +113,7 @@ class ClassicalPoly(Terms):
 # -- generators -----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def weyl_q(n: int, a: int, b: int) -> ClassicalPoly:
     """The orthogonal quadratic sum_i x_{i,a} x_{i,b} over n families."""
     if a < 0 or b < 0:
@@ -106,6 +123,7 @@ def weyl_q(n: int, a: int, b: int) -> ClassicalPoly:
     )
 
 
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def sl2_q(i: int, j: int) -> ClassicalPoly:
     """Adjoint quadratic: h_i h_j + 2 x_i y_j + 2 x_j y_i."""
     h_i, h_j = ClassicalPoly.variable(SL2_H, i), ClassicalPoly.variable(SL2_H, j)
@@ -114,6 +132,7 @@ def sl2_q(i: int, j: int) -> ClassicalPoly:
     return h_i * h_j + (x_i * y_j).scale(2) + (x_j * y_i).scale(2)
 
 
+@functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def sl2_c(k: int, l: int, m: int) -> ClassicalPoly:
     """Adjoint cubic: the 3x3 determinant with rows (h, x, y) at orders k, l, m."""
     if not (k < l < m):
@@ -150,23 +169,27 @@ def c_symbol(k: int, l: int, m: int):
 
 
 class QSymbolPoly(Terms):
-    """Polynomial in the abstract symbols Q_{a,b} (and C_{klm} in sl2 mode)."""
+    """Polynomial in the abstract symbols Q_{a,b} (and C_{klm} in sl2 mode).
+
+    Coefficients are exact rationals: ``int`` when ``coerce`` sees an
+    integral value, otherwise ``Fraction``.
+    """
 
     __slots__ = ()
 
-    coerce = Fraction
+    coerce = staticmethod(_exact)
 
     @staticmethod
     def q(a, b):
         sym, _ = q_symbol(a, b)
-        return QSymbolPoly({(sym,): Fraction(1)})
+        return QSymbolPoly.wrap({(sym,): 1})
 
     @staticmethod
     def c(k, l, m):
         sym, sign = c_symbol(k, l, m)
         if sign == 0:
             return QSymbolPoly.zero()
-        return QSymbolPoly({(sym,): Fraction(sign)})
+        return QSymbolPoly.wrap({(sym,): sign})
 
     __mul__ = _product
 

@@ -1,11 +1,14 @@
 """Exact sparse Gauss-Jordan elimination over a field of duck-typed scalars.
 
-Entries are ``fractions.Fraction`` or ``LevelScalar``: they need +, -, *, /,
-negation and truthiness (zero is falsy).  A matrix is given by its columns,
-each a mapping ``coord -> entry``; the coords label the rows and are any
-hashable values (the monomials of a ``State``, say), and an absent or zero
-entry is zero.  The mappings are only read, never changed, so a caller may
-pass cached ``State.terms`` maps as they are.
+Entries are ``int``, ``Fraction`` or ``LevelScalar``: they need +, -, *, /,
+negation and truthiness (zero is falsy).  An ``int`` pivot is made a
+``Fraction`` before anything is divided by it, since ``int / int`` is a
+float; so every reduced row, every recorded step and every answer stays
+exact.  A matrix is given by its columns, each a mapping ``coord -> entry``;
+the coords label the rows and are any hashable values (the monomials of a
+``State``, say), and an absent or zero entry is zero.  The mappings are only
+read, never changed, so a caller may pass cached ``State.terms`` maps as
+they are.
 
 ``factor``, ``kernel_basis`` and ``rank`` all run one elimination,
 ``_eliminate``, on rows kept as dicts ``{column: nonzero entry}``.  Columns
@@ -35,6 +38,8 @@ unique.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def _eliminate(columns):
@@ -68,6 +73,8 @@ def _eliminate(columns):
             continue
         used.add(p)
         piv = rows[p][c]
+        if type(piv) is int:
+            piv = Fraction(piv)
         prow = rows[p] = {j: v / piv for j, v in rows[p].items()}
         ops = []
         for i in sorted(held):

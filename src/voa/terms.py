@@ -5,7 +5,10 @@ polynomial in the Q/C symbols are each a finite map from monomial keys to
 exact coefficients.  The map is a dict that never holds a zero value, and
 every operation drops the terms that cancel.  Subclasses supply their keys,
 their products and their rendering; ``coerce`` turns an input coefficient
-(an int, say) into the subclass's coefficient type.
+(an int, say) into the subclass's coefficient type.  The classical
+containers coerce to ``int`` or ``Fraction``, and their arithmetic may
+leave an integral ``Fraction`` (``Fraction(3, 2) * 2``), which compares,
+hashes and prints like the ``int``.
 
 Two helpers build the keys: ``sort_sign`` sorts an index list with the sign
 of the sorting permutation, and ``weighted_multisets`` lists the monomials of

@@ -21,7 +21,6 @@ scalar.
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 
 from .liedata import LieSpec
@@ -112,9 +111,12 @@ def degree(a: State) -> int:
 # -- per-spec caches for word canonicalization, mode actions, products ---------
 #
 # Entries are pure functions of their keys, so concurrent insert-or-get under
-# the GIL is safe: a lost race recomputes the identical value.
+# the GIL is safe: a lost race recomputes the identical value.  LieSpec
+# compares and hashes by identity (eq=False), so a plain dict keyed by the
+# spec gives each spec object its own cache; it holds the spec until
+# voa.clear_caches().
 
-_CACHES = weakref.WeakKeyDictionary()
+_CACHES = {}
 
 
 def _cache(spec: LieSpec) -> dict:

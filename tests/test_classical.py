@@ -154,6 +154,24 @@ def test_substitute_builds_each_image_once():
     assert got == want and not got.is_zero()
 
 
+def test_substitute_twice_leaves_shared_images_unchanged():
+    # weyl_q, sl2_q and sl2_c hand every caller the same cached object
+    q_before = dict(cl.weyl_q(3, 0, 1).terms)
+    c_before = dict(cl.sl2_c(0, 1, 2).terms)
+    assert cl.weyl_q(3, 0, 1) is cl.weyl_q(3, 0, 1)
+    det = cl.det_relation(2, (0, 1, 2), (0, 1, 3))
+    syzygy = cl.sl2_relation_type1(0, 1, 0, 1, 2)
+    products = (QSymbolPoly.c(0, 1, 2) * QSymbolPoly.q(0, 1)).scale(Fraction(-1, 3))
+    for rel, sub in ((det, lambda p: cl.substitute(p, 3)), (syzygy, cl.substitute_sl2),
+                     (products, cl.substitute_sl2)):
+        first, second = sub(rel), sub(rel)
+        assert first == second and first.terms is not second.terms
+    assert not cl.substitute_sl2(products).is_zero()
+    assert cl.weyl_q(3, 0, 1).terms == q_before
+    assert cl.sl2_c(0, 1, 2).terms == c_before
+    assert all(type(v) is int for v in q_before.values())
+
+
 def test_poly_gradings():
     p = cl.weyl_q(2, 1, 2)
     assert p.poly_weight() == 5  # weights j+1: (1+1) + (2+1)

@@ -352,3 +352,68 @@ def test_elimination_record_on_invariant_subspace_columns(monkeypatch):
     orbifold.invariant_subspace(abelian(3), orthogonal_action(3), 6)
     assert len(seen) == 1 and len(seen[0]) > 100
     assert linalg._eliminate(seen[0]) == reference_eliminate(seen[0])
+
+
+def _assert_exact(obj):
+    """No float anywhere in a nest of tuples, lists, dicts and sets."""
+    assert not isinstance(obj, float), obj
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _assert_exact(k)
+            _assert_exact(v)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for x in obj:
+            _assert_exact(x)
+
+
+def test_int_columns_match_fraction_columns():
+    rng = random.Random(20261019)
+
+    def draw_int():
+        return rng.choice((-3, -2, -1, 1, 1, 2, 5))
+
+    int_pivots = 0
+    for _ in range(300):
+        columns = sparse_matrix(rng, draw_int, 0)
+        as_fraction = [{c: Fraction(v) for c, v in col.items()} for col in columns]
+        record = linalg._eliminate(columns)
+        _assert_exact(record)
+        assert record == linalg._eliminate(as_fraction)
+        int_pivots += len(record[1])
+        for _, _, piv, _ in record[1]:
+            assert type(piv) is Fraction
+        for row in record[2].values():
+            assert all(type(v) is Fraction for v in row.values())
+        assert linalg.rank(columns) == linalg.rank(as_fraction)
+        basis = linalg.kernel_basis(columns, len(columns), 0, 1)
+        _assert_exact(basis)
+        assert basis == linalg.kernel_basis(as_fraction, len(columns), F0, F1)
+        for _ in range(3):
+            rhs = random_rhs(rng, columns, draw_int, 0, 1)
+            x = linalg.solve(columns, rhs, 0)
+            _assert_exact(x)
+            assert x == linalg.solve(as_fraction, {c: Fraction(v) for c, v in rhs.items()}, F0)
+            check_answer(columns, rhs, x, 0, 1)
+    assert int_pivots > 300
+
+
+def test_classical_columns_reach_elimination_exact(monkeypatch):
+    from voa import classical as cl, verify
+
+    records = []
+    eliminate = linalg._eliminate
+
+    def record(columns):
+        out = eliminate(columns)
+        records.append((columns, out))
+        return out
+
+    monkeypatch.setattr(linalg, "_eliminate", record)
+    assert verify.classical_graded_dimension(2, 6) == 7
+    q = [cl.weyl_q(2, a, b) for a, b in ((0, 0), (0, 1), (1, 1))]
+    assert cl.dring_contains(q[0] * q[0] + cl.d_ring_derivative(q[1]).scale(Fraction(1, 2)), q[:2])
+    assert not cl.dring_contains(q[2], q[:1])
+    assert len(records) == 3
+    for columns, out in records:
+        assert any(type(v) is int for col in columns for v in col.values())
+        _assert_exact(out)

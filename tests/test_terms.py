@@ -38,7 +38,17 @@ def test_linear_structure(cls, ctype, k1, k2):
     assert (a + a) == a.scale(2) and type(a.scale(2)) is cls
     # ints are coerced to the container's coefficient type; zeros are dropped
     b = cls({k1: 3, k2: 0})
-    assert list(b.terms) == [k1] and type(b.terms[k1]) is ctype
+    assert list(b.terms) == [k1]
+    if ctype is LevelScalar:
+        assert type(b.terms[k1]) is LevelScalar
+    else:
+        # exact rationals: int when integral, otherwise Fraction, never float
+        assert type(b.terms[k1]) is int
+        assert type(cls({k1: Fraction(6, 2)}).terms[k1]) is int
+        assert type(cls({k1: Fraction(-3, 2)}).terms[k1]) is Fraction
+        assert type(b.scale(Fraction(-1, 2)).terms[k1]) is Fraction
+        for x in (a, b, a + b, a - b, a.scale(2), a.scale(Fraction(1, 3)), a * b, -a):
+            assert not any(isinstance(c, float) for c in x.terms.values())
     assert b.terms[k1] == (LevelScalar.from_fraction(3) if ctype is LevelScalar else 3)
     # a cancellation drops the key
     assert list((a - cls({k2: a.terms[k2]})).terms) == [k1]
