@@ -33,7 +33,6 @@ from .vertexcore import (
     derivative,
     leading_symbol,
     lie_act,
-    locality_order,
     mode_action,
     ope,
     sugawara,
@@ -79,13 +78,16 @@ from . import orbifold, remainder, vertexcore
 
 __version__ = "0.1.0"
 
+_CLASSICAL_IMAGES = (weyl_q, sl2_q, sl2_c)
+
 
 def cache_stats() -> dict:
     """Entry counts of the process-wide caches, as a new dict.
 
-    ``vertexcore._CACHES`` is counted per algebra name, and the derivative
-    and descent-stage caches of the dictionaries in ``orbifold._OMEGA_CACHE``
-    are summed over those dictionaries.  Reading the counts changes no cache.
+    ``vertexcore._CACHES`` is counted per algebra name, the derivative and
+    descent-stage caches of the dictionaries in ``orbifold._OMEGA_CACHE``
+    are summed over those dictionaries, and the classical images are their
+    ``lru_cache`` sizes.  Reading the counts changes no cache.
     """
     per_spec = {}
     for spec, entries in list(vertexcore._CACHES.items()):
@@ -98,6 +100,7 @@ def cache_stats() -> dict:
         "orbifold._OMEGA_CACHE": len(dictionaries),
         "orbifold._OMEGA_CACHE._deriv_cache": sum(len(d._deriv_cache) for d in dictionaries),
         "orbifold._OMEGA_CACHE._stages": sum(len(d._stages) for d in dictionaries),
+        **{f"classical.{f.__name__}": f.cache_info().currsize for f in _CLASSICAL_IMAGES},
     }
 
 
@@ -111,3 +114,5 @@ def clear_caches() -> None:
     vertexcore._CACHES.clear()
     vertexcore._SMALL.clear()
     orbifold._OMEGA_CACHE.clear()
+    for f in _CLASSICAL_IMAGES:
+        f.cache_clear()

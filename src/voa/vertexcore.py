@@ -54,7 +54,7 @@ class State(Terms):
     Treated as immutable; all operations return fresh states.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     coerce = staticmethod(coerce_scalar)
 
@@ -67,13 +67,6 @@ class State(Terms):
     @staticmethod
     def generator(i: int) -> "State":
         return State({((i, 1),): 1})
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(frozenset(self.terms.items()))
-            return self._hash
 
     def coefficient(self, mono: Mono) -> LevelScalar:
         return self.terms.get(mono, ZERO)
@@ -109,6 +102,11 @@ def degree(a: State) -> int:
 
 
 # -- per-spec caches for word canonicalization, mode actions, products ---------
+#
+# Three key kinds share one dict per spec: ("word", word), ("mode", i, n, mono)
+# and ("cp", amono, n, bmono).  Keys hold only ints and monomial tuples, never
+# a State, so the caches grow with the monomial basis, not with the number of
+# states seen.
 #
 # Entries are pure functions of their keys, so concurrent insert-or-get under
 # the GIL is safe: a lost race recomputes the identical value.  LieSpec
@@ -200,50 +198,33 @@ def _binom_int(j: int, m: int) -> int:
     return num // math.factorial(m)
 
 
-def _shared_action(spec: LieSpec, actions: dict, i: int, n: int, v: State) -> State:
-    """mode_action through the memo of one circle product."""
-    key = (i, n, v)
-    hit = actions.get(key)
-    if hit is None:
-        hit = actions[key] = mode_action(spec, i, n, v)
-    return hit
-
-
-def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State, actions: dict) -> State:
+def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
     if not amono:
-        return b if n == -1 else State.zero()
-    if b.is_zero():
-        return State.zero()
+        return State.wrap({bmono: ONE}) if n == -1 else State.zero()
     cache = _cache(spec)
-    key = ("cp", amono, n, b)
+    key = ("cp", amono, n, bmono)
     hit = cache.get(key)
     if hit is not None:
         return hit
     (i, d), u = amono[0], amono[1:]
     m = d - 1
     wu = mono_weight(u)
-    wb = b.max_weight()
+    wb = mono_weight(bmono)
     sign = -1 if m % 2 else 1
     acc = {}
     # creation-side sum: j = n-1-p <= -1 runs over p with u o_p b nonzero
     for p in range(n, wu + wb):
-        inner = _cp_mono(spec, u, p, b, actions)
+        inner = _cp_mono(spec, u, p, bmono)
         if inner.is_zero():
             continue
         j = n - 1 - p
-        coef = sign * _binom_int(j, m)
-        if coef:
-            xu = _shared_action(spec, actions, i, j - m, inner)
-            merge(acc, xu.terms, coerce_scalar(coef))
-    # annihilation-side sum: X^i(j-m) hits b first
+        coef = coerce_scalar(sign * _binom_int(j, m))
+        merge(acc, mode_action(spec, i, j - m, inner).terms, coef)
+    # annihilation-side sum: X^i(j-m) hits b first, then u acts per monomial
     for j in range(m, m + wb + 1):
-        coef = sign * _binom_int(j, m)
-        xb = _shared_action(spec, actions, i, j - m, b)
-        if xb.is_zero():
-            continue
-        inner = _cp_mono(spec, u, n - j - 1, xb, actions)
-        if not inner.is_zero():
-            merge(acc, inner.terms, coerce_scalar(coef))
+        coef = coerce_scalar(sign * _binom_int(j, m))
+        for bm, cb in _apply_mode_mono(spec, i, j - m, bmono).terms.items():
+            merge(acc, _cp_mono(spec, u, n - j - 1, bm).terms, cb * coef)
     result = State.wrap(acc)
     cache[key] = result
     return result
@@ -252,13 +233,13 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, b: State, actions: dict) -> Sta
 def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
     """The n-th circle product a o_n b, exact over Q(k).
 
-    The mode actions X^i(n) v met in the recursion are shared by the
-    monomials of a through a memo that lives for this one call.
+    The product is bilinear: it is summed over pairs of monomials, whose
+    products are cached per spec.
     """
-    actions = {}
     acc = {}
-    for amono, c in a.terms.items():
-        merge(acc, _cp_mono(spec, amono, n, b, actions).terms, c)
+    for amono, ca in a.terms.items():
+        for bmono, cb in b.terms.items():
+            merge(acc, _cp_mono(spec, amono, n, bmono).terms, ca * cb)
     return State.wrap(acc)
 
 
@@ -303,12 +284,6 @@ def ope(spec: LieSpec, a: State, b: State):
         if not s.is_zero():
             out.append((n, s))
     return out
-
-
-def locality_order(spec: LieSpec, a: State, b: State) -> int:
-    """The least N >= 0 with a o_n b = 0 for all n >= N."""
-    pairs = ope(spec, a, b)
-    return pairs[0][0] + 1 if pairs else 0
 
 
 def leading_symbol(a: State):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from voa import liedata
+from voa import classical, liedata
 from voa import vertexcore as vc
 from voa.classical import ClassicalPoly
 from voa.scalars import K, LevelScalar
@@ -98,7 +98,8 @@ def test_wick_and_derivative_examples():
 def test_ope_examples():
     pairs = vc.ope(SL2, State.generator(X), State.generator(Y))
     assert pairs == [(1, State.vacuum(K)), (0, State.generator(H))]
-    assert vc.locality_order(H1, State.generator(0), State.generator(0)) == 2
+    # locality order 2: the top pole of alpha(z) alpha(w) is (z-w)^-2
+    assert vc.ope(H1, State.generator(0), State.generator(0))[0][0] + 1 == 2
     assert vc.ope(H1, State.generator(0), State.vacuum()) == []
 
 
@@ -267,28 +268,35 @@ def test_cache_stats_counts_entries():
     from voa import remainder
 
     dictionary_caches = ("orbifold._OMEGA_CACHE._deriv_cache", "orbifold._OMEGA_CACHE._stages")
+    images = (classical.weyl_q, classical.sl2_q, classical.sl2_c)
+    image_caches = tuple(f"classical.{f.__name__}" for f in images)
     vc._CACHES.pop(SL2, None)
     remainder._MEMO.clear()
     voa.orbifold._OMEGA_CACHE.clear()
+    for f in images:
+        f.cache_clear()
     before = voa.cache_stats()
     assert before["remainder._MEMO"] == 0
     assert before["vertexcore._CACHES"].get(SL2.name, 0) == 0
-    assert [before[name] for name in dictionary_caches] == [0, 0]
+    assert [before[name] for name in dictionary_caches + image_caches] == [0] * 5
     vc.circle_product(SL2, State.generator(X), 0, State.generator(Y))
     remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3))
     voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
+    classical.weyl_q(2, 0, 1)
+    classical.sl2_q(0, 1)
+    classical.sl2_c(0, 1, 2)
     after = voa.cache_stats()
     assert after["remainder._MEMO"] > 0
     assert after["vertexcore._CACHES"][SL2.name] > 0
-    assert all(after[name] > 0 for name in dictionary_caches)
+    assert all(after[name] > 0 for name in dictionary_caches + image_caches)
     assert set(after) == {
         "remainder._MEMO", "vertexcore._CACHES", "vertexcore._SMALL",
-        "orbifold._OMEGA_CACHE", *dictionary_caches,
+        "orbifold._OMEGA_CACHE", *dictionary_caches, *image_caches,
     }
     after["remainder._MEMO"] = -1
     assert voa.cache_stats()["remainder._MEMO"] > 0
     voa.clear_caches()
-    assert [voa.cache_stats()[name] for name in dictionary_caches] == [0, 0]
+    assert [voa.cache_stats()[name] for name in dictionary_caches + image_caches] == [0] * 5
 
 
 def test_clear_caches_empties_every_counted_cache():
@@ -301,11 +309,16 @@ def test_clear_caches_empties_every_counted_cache():
         return (
             remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3)),
             vc.circle_product(SL2, xy, 1, State.generator(H).scale(K)),
+            classical.weyl_q(2, 0, 1),
+            classical.sl2_q(0, 1),
+            classical.sl2_c(0, 1, 2),
         )
 
     before = products()
     voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
-    assert voa.cache_stats()["orbifold._OMEGA_CACHE"] > 0
+    stats = voa.cache_stats()
+    assert stats["orbifold._OMEGA_CACHE"] > 0
+    assert all(stats[f"classical.{name}"] > 0 for name in ("weyl_q", "sl2_q", "sl2_c"))
     voa.clear_caches()
     stats = voa.cache_stats()
     assert stats.pop("vertexcore._CACHES") == {}
@@ -313,27 +326,72 @@ def test_clear_caches_empties_every_counted_cache():
     assert products() == before
 
 
-def test_circle_product_shares_mode_actions_within_one_call(monkeypatch):
-    import voa
+def _binom(j, m):
+    return math.prod(range(j - m + 1, j + 1)) // math.factorial(m)
 
-    calls = []
-    plain = vc.mode_action
 
-    def counted(spec, i, n, v):
-        calls.append((i, n, v))
-        return plain(spec, i, n, v)
+def _reference_circle_product(spec, a, n, b):
+    """a o_n b by the whole-state recursion on the leftmost factor of a.
 
-    monkeypatch.setattr(vc, "mode_action", counted)
+    With a = X^i(-d) u and m = d - 1, the mode X^i(j-m) of (1/m!) d^m X^i
+    either acts after u o_p b (j = n-1-p < 0) or hits all of b first
+    (j >= m).  Products are memoized per call on whole states; the engine
+    instead caches monomial pairs across calls.
+    """
+    memo = {}
+
+    def cp(amono, n, b):
+        if not amono:
+            return b if n == -1 else State.zero()
+        if b.is_zero():
+            return State.zero()
+        key = (amono, n, frozenset(b.terms.items()))
+        if key not in memo:
+            (i, d), u = amono[0], amono[1:]
+            m = d - 1
+            sign = -1 if m % 2 else 1
+            wb = b.max_weight()
+            out = State.zero()
+            for p in range(n, vc.mono_weight(u) + wb):
+                j = n - 1 - p
+                xu = vc.mode_action(spec, i, j - m, cp(u, p, b))
+                out = out + xu.scale(sign * _binom(j, m))
+            for j in range(m, m + wb + 1):
+                inner = cp(u, n - j - 1, vc.mode_action(spec, i, j - m, b))
+                out = out + inner.scale(sign * _binom(j, m))
+            memo[key] = out
+        return memo[key]
+
+    return State.sum(cp(amono, n, b).scale(c) for amono, c in a.terms.items())
+
+
+@pytest.mark.parametrize("spec", [H2, SL2], ids=["heisenberg2", "sl2"])
+def test_circle_product_matches_whole_state_recursion(spec):
+    from voa import verify
+
+    rng = random.Random(7)
+    for _ in range(15):
+        a, b = verify.random_state(rng, spec, 5), verify.random_state(rng, spec, 5)
+        for n in range(-3, 6):
+            assert vc.circle_product(spec, a, n, b) == _reference_circle_product(spec, a, n, b)
+
+
+def test_circle_product_caches_monomial_pairs_only():
+    def is_mono(key):
+        return type(key) is tuple and all(
+            type(f) is tuple and len(f) == 2 and all(type(x) is int for x in f) for f in key
+        )
+
     a = vc.wick(SL2, State.generator(X), State.generator(Y)) + vc.derivative(
         SL2, State.generator(H)
     )
     b = vc.wick(SL2, State.generator(Y), vc.wick(SL2, State.generator(H), State.generator(X)))
-    counts = []
-    for _ in range(2):
-        voa.clear_caches()
-        calls.clear()
-        vc.circle_product(SL2, a + State.zero(), -1, b + State.zero())
-        assert calls and len(set(calls)) == len(calls)
-        counts.append(len(calls))
-    # the memo does not outlive a call: the second call evaluates as much
-    assert counts[0] == counts[1]
+    assert len(a.terms) > 1 and len(b.terms) > 1
+    vc._CACHES.pop(SL2, None)
+    vc.circle_product(SL2, a, -1, b)
+    keys = [key for key in vc._CACHES[SL2] if key[0] == "cp"]
+    assert keys
+    for _, amono, n, bmono in keys:
+        assert type(n) is int and is_mono(amono) and is_mono(bmono)
+    with pytest.raises(TypeError):
+        hash(b)
