@@ -78,29 +78,35 @@ from . import orbifold, remainder, vertexcore
 
 __version__ = "0.1.0"
 
-_CLASSICAL_IMAGES = (weyl_q, sl2_q, sl2_c)
+_LRU_CACHES = (
+    vertexcore._int_scalar,
+    vertexcore.canonicalize_word,
+    vertexcore._mode_mono,
+    vertexcore._cp_pair,
+    weyl_q,
+    sl2_q,
+    sl2_c,
+)
 
 
 def cache_stats() -> dict:
     """Entry counts of the process-wide caches, as a new dict.
 
-    ``vertexcore._CACHES`` is counted per algebra name, the derivative and
-    descent-stage caches of the dictionaries in ``orbifold._OMEGA_CACHE``
-    are summed over those dictionaries, and the classical images are their
-    ``lru_cache`` sizes.  Reading the counts changes no cache.
+    Each ``lru_cache`` is reported as ``"<module>.<name>"`` with its current
+    size, and the derivative and descent-stage caches of the dictionaries in
+    ``orbifold._OMEGA_CACHE`` are summed over those dictionaries.  Reading the
+    counts changes no cache.
     """
-    per_spec = {}
-    for spec, entries in list(vertexcore._CACHES.items()):
-        per_spec[spec.name] = per_spec.get(spec.name, 0) + len(entries)
     dictionaries = list(orbifold._OMEGA_CACHE.values())
     return {
         "remainder._MEMO": len(remainder._MEMO),
-        "vertexcore._CACHES": per_spec,
-        "vertexcore._SMALL": len(vertexcore._SMALL),
         "orbifold._OMEGA_CACHE": len(dictionaries),
         "orbifold._OMEGA_CACHE._deriv_cache": sum(len(d._deriv_cache) for d in dictionaries),
         "orbifold._OMEGA_CACHE._stages": sum(len(d._stages) for d in dictionaries),
-        **{f"classical.{f.__name__}": f.cache_info().currsize for f in _CLASSICAL_IMAGES},
+        **{
+            f"{f.__module__.removeprefix('voa.')}.{f.__name__}": f.cache_info().currsize
+            for f in _LRU_CACHES
+        },
     }
 
 
@@ -111,8 +117,6 @@ def clear_caches() -> None:
     the same values.
     """
     remainder._MEMO.clear()
-    vertexcore._CACHES.clear()
-    vertexcore._SMALL.clear()
     orbifold._OMEGA_CACHE.clear()
-    for f in _CLASSICAL_IMAGES:
+    for f in _LRU_CACHES:
         f.cache_clear()

@@ -157,7 +157,7 @@ def q_symbol(a: int, b: int):
     """Canonical Q symbol; Q is symmetric so indices are sorted."""
     if a < 0 or b < 0:
         raise ValueError("indices must be nonnegative")
-    return ("Q", min(a, b), max(a, b)), 1
+    return ("Q", min(a, b), max(a, b))
 
 
 def c_symbol(k: int, l: int, m: int):
@@ -181,8 +181,7 @@ class QSymbolPoly(Terms):
 
     @staticmethod
     def q(a, b):
-        sym, _ = q_symbol(a, b)
-        return QSymbolPoly.wrap({(sym,): 1})
+        return QSymbolPoly.wrap({(q_symbol(a, b),): 1})
 
     @staticmethod
     def c(k, l, m):

@@ -151,15 +151,6 @@ class ScanResult:
     first_nonzero: int  # least a with f(a) != 0, or None
     bound_m: int  # (n^2 + 2n + a_0) / 2, or None
 
-    def to_json(self):
-        from .scalars import rational_to_str
-
-        return {
-            "values": [{"a": a, "value": rational_to_str(v)} for a, v in self.values],
-            "first_nonzero": self.first_nonzero,
-            "bound_m": self.bound_m,
-        }
-
 
 def scan_f(n: int, a_max: int) -> ScanResult:
     """Scan f(a) = R_n((0..n), (0..n-1, a)) over a >= n with a = n mod 2.

@@ -20,6 +20,7 @@ scalar.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -30,17 +31,16 @@ from .terms import Terms, merge
 Mono = tuple  # tuple of (generator index, mode depth >= 1) pairs
 
 
-_SMALL = {}
-
-
 def coerce_scalar(c) -> LevelScalar:
     if isinstance(c, LevelScalar):
         return c
     if isinstance(c, int):
-        hit = _SMALL.get(c)
-        if hit is None:
-            hit = _SMALL[c] = LevelScalar.from_fraction(c)
-        return hit
+        return _int_scalar(c)
+    return LevelScalar.from_fraction(c)
+
+
+@functools.lru_cache(maxsize=None)
+def _int_scalar(c: int) -> LevelScalar:
     return LevelScalar.from_fraction(c)
 
 
@@ -101,56 +101,36 @@ def degree(a: State) -> int:
     return max((len(m) for m in a.terms), default=0)
 
 
-# -- per-spec caches for word canonicalization, mode actions, products ---------
+# -- cached word canonicalization, mode actions and products -------------------
 #
-# Three key kinds share one dict per spec: ("word", word), ("mode", i, n, mono)
-# and ("cp", amono, n, bmono).  Keys hold only ints and monomial tuples, never
-# a State, so the caches grow with the monomial basis, not with the number of
-# states seen.
-#
-# Entries are pure functions of their keys, so concurrent insert-or-get under
-# the GIL is safe: a lost race recomputes the identical value.  LieSpec
-# compares and hashes by identity (eq=False), so a plain dict keyed by the
-# spec gives each spec object its own cache; it holds the spec until
-# voa.clear_caches().
-
-_CACHES = {}
+# canonicalize_word, _mode_mono and _cp_pair are unbounded lru_caches keyed by
+# the spec, ints and monomial tuples, never a State (State is unhashable), so
+# they grow with the monomial basis met, not with the number of states seen.
+# LieSpec hashes by identity (eq=False), so each spec object gets its own
+# entries, and the caches hold every spec they have seen until
+# voa.clear_caches().  _apply_mode_mono and _cp_mono answer their cheap cases
+# before the cache, which keeps those cases out of it.
 
 
-def _cache(spec: LieSpec) -> dict:
-    c = _CACHES.get(spec)
-    if c is None:
-        c = {}
-        _CACHES[spec] = c
-    return c
-
-
-def canonicalize_word(spec: LieSpec, word) -> State:
+@functools.lru_cache(maxsize=None)
+def canonicalize_word(spec: LieSpec, word: Mono) -> State:
     """Rewrite a word of creation operators as a combination of sorted monomials.
 
     Adjacent out-of-order factors are swapped with the bracket correction
     X^i(-a) X^j(-b) = X^j(-b) X^i(-a) + X^[i,j](-a-b); no central terms arise
     since a+b > 0.
     """
-    word = tuple(word)
     for t in range(len(word) - 1):
         g1, d1 = word[t]
         g2, d2 = word[t + 1]
         if (d1 < d2) or (d1 == d2 and g1 > g2):
-            cache = _cache(spec)
-            key = ("word", word)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
             swapped = word[:t] + ((g2, d2), (g1, d1)) + word[t + 2:]
             acc = dict(canonicalize_word(spec, swapped).terms)
             for l, cl in enumerate(spec.structure[g1][g2]):
                 if cl:
                     merged = word[:t] + ((l, d1 + d2),) + word[t + 2:]
                     merge(acc, canonicalize_word(spec, merged).terms, coerce_scalar(cl))
-            result = State.wrap(acc)
-            cache[key] = result
-            return result
+            return State.wrap(acc)
     return State({word: ONE})
 
 
@@ -159,11 +139,11 @@ def _apply_mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> State:
         return canonicalize_word(spec, ((i, -n),) + mono)
     if not mono:
         return State.zero()
-    cache = _cache(spec)
-    key = ("mode", i, n, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _mode_mono(spec, i, n, mono)
+
+
+@functools.lru_cache(maxsize=None)
+def _mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> State:
     (j, d), rest = mono[0], mono[1:]
     # commute past the first factor, then bracket and central corrections
     acc = {}
@@ -177,9 +157,7 @@ def _apply_mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> State:
         b = spec.form[i][j]
         if b:
             merge(acc, {rest: K.scale(n * b)}, None)
-    result = State.wrap(acc)
-    cache[key] = result
-    return result
+    return State.wrap(acc)
 
 
 def mode_action(spec: LieSpec, i: int, n: int, v: State) -> State:
@@ -201,11 +179,11 @@ def _binom_int(j: int, m: int) -> int:
 def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
     if not amono:
         return State.wrap({bmono: ONE}) if n == -1 else State.zero()
-    cache = _cache(spec)
-    key = ("cp", amono, n, bmono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _cp_pair(spec, amono, n, bmono)
+
+
+@functools.lru_cache(maxsize=None)
+def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
     (i, d), u = amono[0], amono[1:]
     m = d - 1
     wu = mono_weight(u)
@@ -225,9 +203,7 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
         coef = coerce_scalar(sign * _binom_int(j, m))
         for bm, cb in _apply_mode_mono(spec, i, j - m, bmono).terms.items():
             merge(acc, _cp_mono(spec, u, n - j - 1, bm).terms, cb * coef)
-    result = State.wrap(acc)
-    cache[key] = result
-    return result
+    return State.wrap(acc)
 
 
 def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:

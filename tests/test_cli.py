@@ -166,6 +166,36 @@ def test_verify_suite(capsys):
     assert out.startswith("sugawara:") and "0 failed" in out
 
 
+def test_verify_all_reports_failures(capsys, monkeypatch):
+    from voa import verify as vf
+
+    def passing():
+        res = vf.SuiteResult("good")
+        res.add("fine", True)
+        return res
+
+    def failing():
+        res = vf.SuiteResult("bad")
+        res.add("fine", True)
+        res.add("broken", False, "expected 1, got 2")
+        return res
+
+    monkeypatch.setattr(vf, "ACCEPTANCE_SUITES", {"good": passing, "bad": failing})
+    code, out, _ = run(capsys, ["verify", "all"])
+    assert code == 1
+    assert out.splitlines() == [
+        "good: 1 passed, 0 failed",
+        "bad: 1 passed, 1 failed",
+        "  FAIL broken expected 1, got 2",
+    ]
+    code, out, _ = run(capsys, ["verify", "all", "--json"])
+    assert code == 1
+    assert json.loads(out) == [
+        {"suite": "good", "passed": 1, "failed": 0, "failures": []},
+        {"suite": "bad", "passed": 1, "failed": 1, "failures": ["broken"]},
+    ]
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, ["verify", "nonsense"])
     assert code == 2

@@ -420,8 +420,25 @@ def test_decouple_rejects_noninvariant_target():
     d = ob.GeneratorDictionary(H1)
     d.add(ob.j_symbol(0), ob.j_gen(1, 0))
     odd = st(((0, 2), (0, 1), (0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^target is not fixed by a finite group element$"):
         ob.decouple(H1, O1, d, odd, max_degree=4)
+    # :a1 a1: is fixed by the reflection of O(2) but not by the rotation
+    a1a1 = st(((0, 1), (0, 1)))
+    assert vc.apply_group_element(H2, O2.finite_elements[0], a1a1) == a1a1
+    d2 = ob.GeneratorDictionary(H2)
+    d2.add(ob.j_symbol(0), ob.j_gen(2, 0))
+    with pytest.raises(
+        ValueError, match="^target is not invariant under the infinitesimal action$"
+    ):
+        ob.decouple(H2, O2, d2, a1a1, max_degree=4)
+    d2.add("A", a1a1)
+    with pytest.raises(
+        ValueError, match=r"^generator A is not invariant under the infinitesimal action$"
+    ):
+        ob.decouple(H2, O2, d2, ob.j_gen(2, 2), max_degree=4)
+    d.add("B", odd)
+    with pytest.raises(ValueError, match="^generator B is not fixed by a finite group element$"):
+        ob.decouple(H1, O1, d, ob.j_gen(1, 2), max_degree=4)
 
 
 def test_sl2_tilde_generators():

@@ -225,9 +225,3 @@ def test_scan_f_matches_rational_interpolant():
         num = p2 * a * a + p1 * a + p0
         den = Fraction(a * a) + u * a + v
         assert den != 0 and num / den == f
-
-
-def test_scan_json():
-    data = scan_f(1, 3).to_json()
-    assert data["first_nonzero"] == 1
-    assert data["values"][0] == {"a": 1, "value": "5/4"}

@@ -268,17 +268,13 @@ def test_cache_stats_counts_entries():
     from voa import remainder
 
     dictionary_caches = ("orbifold._OMEGA_CACHE._deriv_cache", "orbifold._OMEGA_CACHE._stages")
-    images = (classical.weyl_q, classical.sl2_q, classical.sl2_c)
-    image_caches = tuple(f"classical.{f.__name__}" for f in images)
-    vc._CACHES.pop(SL2, None)
-    remainder._MEMO.clear()
-    voa.orbifold._OMEGA_CACHE.clear()
-    for f in images:
-        f.cache_clear()
+    engine = ("_int_scalar", "canonicalize_word", "_mode_mono", "_cp_pair")
+    engine_caches = tuple(f"vertexcore.{name}" for name in engine)
+    image_caches = tuple(f"classical.{name}" for name in ("weyl_q", "sl2_q", "sl2_c"))
+    counted = dictionary_caches + engine_caches + image_caches
+    voa.clear_caches()
     before = voa.cache_stats()
-    assert before["remainder._MEMO"] == 0
-    assert before["vertexcore._CACHES"].get(SL2.name, 0) == 0
-    assert [before[name] for name in dictionary_caches + image_caches] == [0] * 5
+    assert before == dict.fromkeys(before, 0)
     vc.circle_product(SL2, State.generator(X), 0, State.generator(Y))
     remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3))
     voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
@@ -287,16 +283,13 @@ def test_cache_stats_counts_entries():
     classical.sl2_c(0, 1, 2)
     after = voa.cache_stats()
     assert after["remainder._MEMO"] > 0
-    assert after["vertexcore._CACHES"][SL2.name] > 0
-    assert all(after[name] > 0 for name in dictionary_caches + image_caches)
-    assert set(after) == {
-        "remainder._MEMO", "vertexcore._CACHES", "vertexcore._SMALL",
-        "orbifold._OMEGA_CACHE", *dictionary_caches, *image_caches,
-    }
+    assert all(after[name] > 0 for name in counted)
+    assert set(after) == {"remainder._MEMO", "orbifold._OMEGA_CACHE", *counted}
+    assert after["vertexcore._cp_pair"] == vc._cp_pair.cache_info().currsize
     after["remainder._MEMO"] = -1
     assert voa.cache_stats()["remainder._MEMO"] > 0
     voa.clear_caches()
-    assert [voa.cache_stats()[name] for name in dictionary_caches + image_caches] == [0] * 5
+    assert [voa.cache_stats()[name] for name in counted] == [0] * len(counted)
 
 
 def test_clear_caches_empties_every_counted_cache():
@@ -319,9 +312,9 @@ def test_clear_caches_empties_every_counted_cache():
     stats = voa.cache_stats()
     assert stats["orbifold._OMEGA_CACHE"] > 0
     assert all(stats[f"classical.{name}"] > 0 for name in ("weyl_q", "sl2_q", "sl2_c"))
+    assert stats["vertexcore._cp_pair"] > 0
     voa.clear_caches()
     stats = voa.cache_stats()
-    assert stats.pop("vertexcore._CACHES") == {}
     assert stats == dict.fromkeys(stats, 0)
     assert products() == before
 
@@ -377,21 +370,15 @@ def test_circle_product_matches_whole_state_recursion(spec):
 
 
 def test_circle_product_caches_monomial_pairs_only():
-    def is_mono(key):
-        return type(key) is tuple and all(
-            type(f) is tuple and len(f) == 2 and all(type(x) is int for x in f) for f in key
-        )
-
     a = vc.wick(SL2, State.generator(X), State.generator(Y)) + vc.derivative(
         SL2, State.generator(H)
     )
     b = vc.wick(SL2, State.generator(Y), vc.wick(SL2, State.generator(H), State.generator(X)))
     assert len(a.terms) > 1 and len(b.terms) > 1
-    vc._CACHES.pop(SL2, None)
+    vc._cp_pair.cache_clear()
     vc.circle_product(SL2, a, -1, b)
-    keys = [key for key in vc._CACHES[SL2] if key[0] == "cp"]
-    assert keys
-    for _, amono, n, bmono in keys:
-        assert type(n) is int and is_mono(amono) and is_mono(bmono)
+    assert vc._cp_pair.cache_info().currsize > 0
+    with pytest.raises(TypeError):
+        vc._cp_pair(SL2, a, -1, b)
     with pytest.raises(TypeError):
         hash(b)
