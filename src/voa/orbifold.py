@@ -103,15 +103,21 @@ class GeneratorDictionary:
         #: (weight, max_degree, exact_degree) -> (candidates, linalg.factor
         #: solver of their columns), filled by express_in_generators
         self._stages = {}
+        #: filled by closed_in_gr: (weight, degree) -> linalg.factor solver of
+        #: the tops of that class's generators, and symbol -> whether the top
+        #: of its derivative lies in the span of the next weight's class
+        self._closure = {}
 
     def add(self, symbol: str, state: State):
         w = vc.weight(state)
         if w is None:
             raise ValueError(f"generator {symbol} is not weight-homogeneous")
         self.entries[symbol] = GenEntry(state, vc.degree(state), w)
-        # a re-added symbol's derivatives, and every stage, depend on the entries
+        # a re-added symbol's derivatives, every stage and the closure depend
+        # on the entries
         self._deriv_cache.clear()
         self._stages.clear()
+        self._closure.clear()
         return self
 
     def __getitem__(self, symbol) -> GenEntry:
@@ -139,6 +145,37 @@ class GeneratorDictionary:
 
     def monomial_degree(self, mono: NopMono) -> int:
         return sum(self[s].degree for s, t in mono)
+
+    def closed_in_gr(self, weight: int) -> bool:
+        """Whether the dictionary is closed under the derivative in gr below weight.
+
+        That is: for every generator s of weight v < weight and degree d, the
+        degree-d component of ds (gr of the derivative applied to the top of
+        s) is a linear combination of the tops of the generators of weight
+        v + 1 and degree d.  Then, by induction on t, the top of every
+        derivative letter (s, t) of weight at most ``weight`` is a
+        combination of derivative-free tops of its weight and degree, and so
+        is every product of tops that holds such a letter.  Checked exactly
+        over Q(k): one ``linalg.factor`` per class (weight, degree), replayed
+        once per symbol; both are kept until ``add``.
+        """
+        for sym, e in self.entries.items():
+            if e.weight >= weight:
+                continue
+            closed = self._closure.get(sym)
+            if closed is None:
+                cls = (e.weight + 1, e.degree)
+                solver = self._closure.get(cls)
+                if solver is None:
+                    solver = self._closure[cls] = linalg.factor([
+                        f.state.degree_component(f.degree).terms
+                        for f in self.entries.values() if (f.weight, f.degree) == cls
+                    ])
+                top = self.factor_state(sym, 1).degree_component(e.degree).terms
+                closed = self._closure[sym] = solver(top, ZERO) is not None
+            if not closed:
+                return False
+        return True
 
 
 def evaluate_nop(nop: FormalNOP, dictionary: GeneratorDictionary) -> State:
@@ -272,12 +309,17 @@ def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
 # -- expressing states in generators ------------------------------------------------
 
 
-def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_degree: int):
-    """All canonical NOP monomials of the given weight and bounded degree."""
+def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_degree: int,
+                            derivatives: bool = True):
+    """All canonical NOP monomials of the given weight and bounded degree.
+
+    Without ``derivatives`` only the letters (symbol, 0) are used.
+    """
     letters = sorted(
         (sym, t)
         for sym in dictionary.symbols()
         for t in range(0, weight - dictionary[sym].weight + 1)
+        if derivatives or t == 0
     )
     monos = weighted_multisets(
         letters,
@@ -322,7 +364,10 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
     (the descent step of the quantum-correction algorithm).  Such a stage is
     built in the associated graded: since gr of the vacuum module is a
     polynomial ring, that component is the commutative product of the
-    factors' top-degree components, so no candidate is Wick-evaluated.
+    factors' top-degree components, so no candidate is Wick-evaluated.  When
+    the dictionary is ``closed_in_gr`` up to the target's weight, the
+    derivative letters add columns but nothing to their span, so such a
+    stage takes derivative-free candidates only; otherwise it takes them all.
 
     The system's matrix depends only on (weight, max_degree, exact_degree),
     so the dictionary keeps each such stage: its candidate monomials and a
@@ -338,13 +383,15 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
     key = (w, max_degree, exact_degree)
     stage = dictionary._stages.get(key)
     if stage is None:
-        candidates = enumerate_nop_monomials(dictionary, w, max_degree)
         if exact_degree is None:
+            candidates = enumerate_nop_monomials(dictionary, w, max_degree)
             columns = [evaluate_nop(FormalNOP({mono: ONE}), dictionary).terms
                        for mono in candidates]
         else:
+            derivatives = not dictionary.closed_in_gr(w)
             candidates = [
-                m for m in candidates if dictionary.monomial_degree(m) == exact_degree
+                m for m in enumerate_nop_monomials(dictionary, w, max_degree, derivatives)
+                if dictionary.monomial_degree(m) == exact_degree
             ]
             columns = [_graded_product(mono, dictionary) for mono in candidates]
         stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
@@ -437,7 +484,7 @@ def pr_coefficient(nop: FormalNOP, m: int) -> LevelScalar:
 
 
 #: hard cap on the weight index m for direct remainder computations
-REMAINDER_MAX_M = 14
+REMAINDER_MAX_M = 18
 
 
 def remainder_direct(n: int, I, J) -> Fraction:

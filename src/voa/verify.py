@@ -84,6 +84,7 @@ def suite_remainder_oracle() -> SuiteResult:
     res = SuiteResult("remainder-oracle")
     cases = [(1, I, J) for I, J in remainder_oracle_pairs()]
     cases.append((2, (0, 1, 2), (0, 1, 2)))  # the rank-2 diagonal, R_2 of Table 1
+    cases.append((3, (0, 1, 2, 3), (0, 1, 2, 3)))  # R_3 of Table 1
     for n, I, J in cases:
         direct = ob.remainder_direct(n, I, J)
         recursive = rm.rn(n, I, J)

@@ -134,7 +134,7 @@ def test_remainder_resource_bound(capsys):
 def test_remainder_direct_resource_bound(capsys):
     code, out, err = run(capsys, ["remainder-direct", "--n", "1", "--I", "0,9", "--J", "0,9"])
     assert code == 2 and out == ""
-    assert "error[ResourceError]: weight index m = 20 exceeds the bound 14" in err
+    assert "error[ResourceError]: weight index m = 20 exceeds the bound 18" in err
 
 
 def test_unknown_algebra_exit_code(capsys):
@@ -383,8 +383,9 @@ def test_sugawara_check_default_hdual(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# The CI step's --json commands.  Each file under tests/golden/ is the
-# command's standard output, written with
+# The CI step's --json commands, except the rank-3 remainder-direct, whose
+# value test_orbifold.py::test_remainder_direct_r3 checks.  Each file under
+# tests/golden/ is the command's standard output, written with
 #   PYTHONPATH=src PYTHONHASHSEED=1 python -m voa.cli <argv> > tests/golden/<name>.json
 # at commit bcbf7e7, before the integer fast path in LevelScalar products.
 GOLDEN_COMMANDS = {

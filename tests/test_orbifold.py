@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -187,9 +188,11 @@ def test_express_in_generators_reuses_each_stage(
     ]
     if max_weight == 2:
         assert fresh[0] is None and fresh[1] is not None
-    counts = _count_stage_work(monkeypatch)
     d = ob.omega_dictionary(1, max_weight)
     first, *rest = targets
+    # the closure check's eliminations are made before the counts start
+    d.closed_in_gr(vc.weight(first))
+    counts = _count_stage_work(monkeypatch)
     assert ob.express_in_generators(first, d, max_degree, exact_degree) == fresh[0]
     _assert_built_once(counts, exact_degree)
     for target, want in zip(rest, fresh[1:]):
@@ -198,11 +201,53 @@ def test_express_in_generators_reuses_each_stage(
         assert counts == {"evaluate_nop": 0, "factor": 0}
     # adding a generator makes the next call build the stage again
     d.add("Extra", ob.omega(1, 0, 2))
+    d.closed_in_gr(vc.weight(first))
     counts.update(evaluate_nop=0, factor=0)
     again = ob.express_in_generators(first, d, max_degree, exact_degree)
     _assert_built_once(counts, exact_degree)
     if max_weight == 2:
         assert again is not None
+
+
+def test_closed_in_gr_omega_dictionary():
+    # d Om[a,b] has top Om[a+1,b] + Om[a,b+1]; the weight-6 generators'
+    # derivatives need weight-7 generators the dictionary does not have
+    d = ob.omega_dictionary(1, 6)
+    assert [d.closed_in_gr(w) for w in range(1, 8)] == [True] * 6 + [False]
+    assert ob.omega_dictionary(2, 8).closed_in_gr(8)
+
+
+def test_closed_in_gr_is_reset_by_add():
+    d = ob.omega_dictionary(1, 6)
+    assert not d.closed_in_gr(7)
+    assert d._closure
+    for a in range(3):
+        d.add(ob.omega_symbol(a, 5 - a), ob.omega(1, a, 5 - a))
+    assert not d._closure
+    assert d.closed_in_gr(7)
+
+
+def test_exact_degree_stage_falls_back_when_not_closed():
+    # dJ[0] has top 2 Om[0,1], which no J generator gives: without the
+    # derivative letter D J[0] the stage would have no solution
+    d = ob.j_dictionary(1, (0, 2))
+    assert not d.closed_in_gr(3)
+    target = vc.nth_derivative(H1, ob.j_gen(1, 0), 1).degree_component(2)
+    assert ob.express_in_generators(target, d, 2, 2) == ob.FormalNOP.single(ob.j_symbol(0), 1)
+
+
+def test_closed_exact_degree_stage_lists_no_derivative_letter():
+    d = ob.omega_dictionary(1, 8)
+    rel = det_relation(1, (0, 1), (0, 3))
+    assert ob.evaluate_nop(ob.quantum_correction(rel, d), d).is_zero()
+    exact = [cands for (_, _, exact), (cands, _) in d._stages.items() if exact is not None]
+    assert exact and all(exact)
+    assert all(t == 0 for cands in exact for mono in cands for _, t in mono)
+    # the same stage over a dictionary that is not closed keeps them
+    j = ob.j_dictionary(1, (0, 2))
+    assert ob.express_in_generators(ob.j_gen(1, 2).degree_component(2), j, 2, 2) is not None
+    (cands, _), = j._stages.values()
+    assert any(t for mono in cands for _, t in mono)
 
 
 def _sl2_tilde_dictionary():
@@ -242,6 +287,9 @@ def test_graded_product_matches_full_evaluation(make, max_weight):
 def test_quantum_correction_evaluates_only_orderings_and_corrections(monkeypatch):
     # one full evaluation for the normal ordering and one per correction;
     # the stages it builds evaluate nothing
+    rel = det_relation(1, (0, 1), (0, 1))
+    d = ob.omega_dictionary(1, 6)
+    d.closed_in_gr(6)  # the closure check's eliminations, before the counts start
     counts = _count_stage_work(monkeypatch)
     corrections = []
     plain = ob.express_in_generators
@@ -251,8 +299,7 @@ def test_quantum_correction_evaluates_only_orderings_and_corrections(monkeypatch
         return corrections[-1]
 
     monkeypatch.setattr(ob, "express_in_generators", recorded)
-    rel = det_relation(1, (0, 1), (0, 1))
-    lifted = ob.quantum_correction(rel, ob.omega_dictionary(1, 6))
+    lifted = ob.quantum_correction(rel, d)
     assert corrections and all(corrections)
     assert counts["evaluate_nop"] == 1 + len(corrections)
     assert counts["factor"] == len(corrections)
@@ -377,6 +424,29 @@ def test_remainder_direct_examples():
         ob.remainder_direct(1, (0, 2), (0, 1))
     with pytest.raises(ResourceError):
         ob.remainder_direct(1, (0, 9), (0, 9))
+
+
+def _oracle_cases(n, max_m):
+    """Every (I, J) with I <= J of length n + 1 and even m = |I| + |J| + 2n <= max_m."""
+    lists = list(itertools.combinations(range(max_m), n + 1))
+    return [(I, J) for I in lists for J in lists
+            if I <= J and (sum(I) + sum(J)) % 2 == 0 and sum(I) + sum(J) + 2 * n <= max_m]
+
+
+def test_remainder_direct_matches_recursion_up_to_m14():
+    from voa.remainder import rn
+
+    cases = [(n, I, J) for n in (1, 2) for I, J in _oracle_cases(n, 14)]
+    assert len(cases) == 118
+    for n, I, J in cases:
+        assert ob.remainder_direct(n, I, J) == rn(n, I, J), (n, I, J)
+
+
+@pytest.mark.slow
+def test_remainder_direct_r3():
+    # R_3 of Table 1, from scratch in the rank-3 Heisenberg algebra
+    I = (0, 1, 2, 3)
+    assert ob.remainder_direct(3, I, I) == Fraction(-2419, 705600)
 
 
 @pytest.mark.slow

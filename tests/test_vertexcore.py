@@ -267,7 +267,9 @@ def test_cache_stats_counts_entries():
     import voa
     from voa import remainder
 
-    dictionary_caches = ("orbifold._OMEGA_CACHE._deriv_cache", "orbifold._OMEGA_CACHE._stages")
+    dictionary_caches = tuple(
+        f"orbifold._OMEGA_CACHE.{name}" for name in ("_deriv_cache", "_stages", "_closure")
+    )
     engine = ("_int_scalar", "canonicalize_word", "_mode_mono", "_cp_pair")
     engine_caches = tuple(f"vertexcore.{name}" for name in engine)
     image_caches = tuple(f"classical.{name}" for name in ("weyl_q", "sl2_q", "sl2_c"))
