@@ -103,9 +103,8 @@ class GeneratorDictionary:
         #: (weight, max_degree, exact_degree) -> (candidates, linalg.factor
         #: solver of their columns), filled by express_in_generators
         self._stages = {}
-        #: filled by closed_in_gr: (weight, degree) -> linalg.factor solver of
-        #: the tops of that class's generators, and symbol -> whether the top
-        #: of its derivative lies in the span of the next weight's class
+        #: filled by closed_in_gr: symbol -> whether the top of its derivative
+        #: lies in the span of the tops of the next weight's class
         self._closure = {}
 
     def add(self, symbol: str, state: State):
@@ -156,18 +155,19 @@ class GeneratorDictionary:
         derivative letter (s, t) of weight at most ``weight`` is a
         combination of derivative-free tops of its weight and degree, and so
         is every product of tops that holds such a letter.  Checked exactly
-        over Q(k): one ``linalg.factor`` per class (weight, degree), replayed
-        once per symbol; both are kept until ``add``.
+        over Q(k): one ``linalg.factor`` per class (weight, degree) and call,
+        replayed once per symbol; the verdicts are kept until ``add``.
         """
+        solvers = {}
         for sym, e in self.entries.items():
             if e.weight >= weight:
                 continue
             closed = self._closure.get(sym)
             if closed is None:
                 cls = (e.weight + 1, e.degree)
-                solver = self._closure.get(cls)
+                solver = solvers.get(cls)
                 if solver is None:
-                    solver = self._closure[cls] = linalg.factor([
+                    solver = solvers[cls] = linalg.factor([
                         f.state.degree_component(f.degree).terms
                         for f in self.entries.values() if (f.weight, f.degree) == cls
                     ])
@@ -273,8 +273,7 @@ def _count_weight_monomials(n: int, w: int) -> int:
 
 def _weight_monomials(n: int, w: int):
     """All canonical monomials of weight w, in increasing key order."""
-    # factors (gen, depth) in canonical order: depth descending, gen ascending
-    letters = [(g, depth) for depth in range(w, 0, -1) for g in range(n)]
+    letters = sorted(itertools.product(range(n), range(1, w + 1)), key=vc.factor_key)
     return sorted(weighted_multisets(letters, [d for _, d in letters], w))
 
 
@@ -331,11 +330,6 @@ def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_de
     return sorted((m for m in monos if m), key=lambda m: (dictionary.monomial_degree(m), m))
 
 
-def _canonical_factor_order(factor):
-    """Sort key of a monomial factor (gen, depth): depth descending, gen ascending."""
-    return -factor[1], factor[0]
-
-
 def _graded_product(mono: NopMono, dictionary: GeneratorDictionary) -> dict:
     """The degree-d component of a degree-d monomial's evaluation, as terms.
 
@@ -348,7 +342,7 @@ def _graded_product(mono: NopMono, dictionary: GeneratorDictionary) -> dict:
         top = dictionary.factor_state(s, t).degree_component(dictionary[s].degree).terms
         product = {}
         for m1, c1 in acc.items():
-            merge(product, {tuple(sorted(m1 + m2, key=_canonical_factor_order)): c2
+            merge(product, {tuple(sorted(m1 + m2, key=vc.factor_key)): c2
                             for m2, c2 in top.items()}, c1)
         acc = product
     return acc

@@ -137,7 +137,7 @@ def _random_mono(rng, dim, max_weight):
         d = rng.randint(1, w)
         factors.append((rng.randrange(dim), d))
         w -= d
-    return tuple(sorted(factors, key=lambda f: (-f[1], f[0])))
+    return tuple(sorted(factors, key=vc.factor_key))
 
 
 _COEFF_POOL = [

@@ -398,6 +398,7 @@ GOLDEN_COMMANDS = {
                          "--json"],
     "sl2-generators": ["sl2-generators", "--max-weight", "6", "--json"],
     "ope": ["ope", "--algebra", "sl2", "x", "y", "--json"],
+    "circle": ["circle", "--algebra", "sl2", "--n", "-1", "y", "x", "--json"],
 }
 
 

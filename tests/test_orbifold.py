@@ -221,6 +221,7 @@ def test_closed_in_gr_is_reset_by_add():
     d = ob.omega_dictionary(1, 6)
     assert not d.closed_in_gr(7)
     assert d._closure
+    assert all(type(v) is bool for v in d._closure.values())
     for a in range(3):
         d.add(ob.omega_symbol(a, 5 - a), ob.omega(1, a, 5 - a))
     assert not d._closure

@@ -39,6 +39,60 @@ def test_mode_action_creation_reorders():
     assert got == st(((X, 1), (Y, 1))) + st(((H, 2),), -1)
 
 
+def _reference_canonicalize_word(spec, word):
+    """A word sorted by adjacent swaps with the bracket correction
+
+    X^i(-a) X^j(-b) = X^j(-b) X^i(-a) + X^[i,j](-a-b); no central terms arise
+    since a+b > 0.  Memoized per call on words; the engine instead applies
+    the word's modes to its sorted tail.
+    """
+    memo = {}
+
+    def canon(word):
+        if word in memo:
+            return memo[word]
+        out = st(word)
+        for t in range(len(word) - 1):
+            g1, d1 = word[t]
+            g2, d2 = word[t + 1]
+            if (d1 < d2) or (d1 == d2 and g1 > g2):
+                out = canon(word[:t] + ((g2, d2), (g1, d1)) + word[t + 2:])
+                for l, cl in enumerate(spec.structure[g1][g2]):
+                    if cl:
+                        out = out + canon(word[:t] + ((l, d1 + d2),) + word[t + 2:]).scale(cl)
+                break
+        memo[word] = out
+        return out
+
+    return canon(word)
+
+
+@pytest.mark.parametrize("spec", [H2, SL2], ids=["heisenberg2", "sl2"])
+def test_canonicalize_word_matches_adjacent_swaps(spec):
+    rng = random.Random(11)
+    for _ in range(60):
+        word = tuple((rng.randrange(spec.dim), rng.randint(1, 4))
+                     for _ in range(rng.randint(0, 6)))
+        assert vc.canonicalize_word(spec, word) == _reference_canonicalize_word(spec, word)
+
+
+def test_canonicalize_long_sl2_words_match_adjacent_swaps():
+    rng = random.Random(13)
+    words = [tuple((rng.randrange(3), rng.randint(1, 3)) for _ in range(rng.randint(7, 8)))
+             for _ in range(20)]
+    # every pair of the first six factors is out of order
+    words.append(((H, 1), (Y, 1), (X, 1), (H, 2), (Y, 2), (X, 2), (Y, 1), (X, 1)))
+    for word in words:
+        assert vc.canonicalize_word(SL2, word) == _reference_canonicalize_word(SL2, word)
+
+
+def test_canonicalize_reversed_long_words():
+    # the stack depth must not grow with the word's inversion count
+    for length in (33, 300):
+        word = tuple((0, d) for d in range(1, length + 1))
+        assert vc.canonicalize_word(H1, word) == st(word[::-1])
+
+
 # -- circle products -------------------------------------------------------------
 
 
