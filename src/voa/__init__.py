@@ -80,7 +80,6 @@ __version__ = "0.1.0"
 
 _LRU_CACHES = (
     vertexcore._int_scalar,
-    vertexcore.canonicalize_word,
     vertexcore._mode_mono,
     vertexcore._cp_pair,
     weyl_q,

@@ -195,8 +195,11 @@ def cmd_decouple(args) -> int:
     action = resolve_action(spec, args.action, config_action)
     target_m = _parse_j_name(args.target)
     _check_weight("target weight", target_m + 2)
+    dict_ms = [_parse_j_name(t) for t in args.dict.split(",")]
+    for m in dict_ms:
+        _check_weight("dictionary weight", m + 2)
     n = spec.dim
-    dictionary = ob.j_dictionary(n, [_parse_j_name(t) for t in args.dict.split(",")])
+    dictionary = ob.j_dictionary(n, dict_ms)
     target = ob.j_gen(n, target_m)
     result = ob.decouple(spec, action, dictionary, target, max_degree=args.max_degree)
     if result is None:

@@ -90,19 +90,24 @@ def _check_dim(dim: int):
     check_budget("algebra dim", dim, MAX_DIM)
 
 
+def _complete(entries, what, mirror) -> dict:
+    """Sparse entries with their mirror images added; a conflict raises ValueError."""
+    out = {}
+    for key, v in entries.items():
+        v = Fraction(v)
+        for k2, val in ((key, v), mirror(key, v)):
+            if out.setdefault(k2, val) != val:
+                raise ValueError(f"inconsistent {what}{k2}")
+    return out
+
+
 def build_spec(dim, labels, bracket_entries, form_entries, name="lie") -> LieSpec:
     """Assemble a LieSpec from sparse entries, completing antisymmetry/symmetry."""
     _check_dim(dim)
-    entries = {}
-    for (i, j, l), v in bracket_entries.items():
-        v = Fraction(v)
-        for key, val in (((i, j, l), v), ((j, i, l), -v)):
-            if key in entries and entries[key] != val:
-                raise ValueError(f"inconsistent bracket entry c{key}")
-            entries[key] = val
+    entries = _complete(bracket_entries, "bracket entry c", lambda k, v: ((k[1], k[0], k[2]), -v))
     form = [[Fraction(0)] * dim for _ in range(dim)]
-    for (i, j), v in form_entries.items():
-        form[i][j] = form[j][i] = Fraction(v)
+    for (i, j), v in _complete(form_entries, "form entry B", lambda k, v: (k[::-1], v)).items():
+        form[i][j] = v
     return LieSpec(
         dim=dim,
         labels=tuple(labels),

@@ -106,34 +106,18 @@ def degree(a: State) -> int:
     return max((len(m) for m in a.terms), default=0)
 
 
-# -- cached word canonicalization, mode actions and products -------------------
+# -- cached mode actions and products -----------------------------------------
 #
-# canonicalize_word, _mode_mono and _cp_pair are unbounded lru_caches keyed by
-# the spec, ints and monomial tuples, never a State (State is unhashable), so
-# they grow with the monomial basis met, not with the number of states seen.
-# LieSpec hashes by identity (eq=False), so each spec object gets its own
-# entries, and the caches hold every spec they have seen until
-# voa.clear_caches().  _mode_mono caches its trivial cases too (a mode on the
-# vacuum, a creation mode already in front of the monomial): answered before
-# the cache, each call built a fresh prepended tuple that the cached products
-# no longer shared, and the engine benchmark's peak RSS rose by 7 %.  _cp_mono
-# answers the empty left monomial before the cache, which keeps it out.
-
-
-@functools.lru_cache(maxsize=None)
-def canonicalize_word(spec: LieSpec, word: Mono) -> State:
-    """Rewrite a word of creation operators as a combination of sorted monomials.
-
-    The word X^{i_1}(-m_1) ... X^{i_r}(-m_r)|0> is its modes applied to the
-    vacuum from right to left, starting from its longest sorted tail.
-    """
-    t = max(len(word) - 1, 0)
-    while t > 0 and factor_key(word[t - 1]) <= factor_key(word[t]):
-        t -= 1
-    out = State.wrap({word[t:]: ONE})
-    for g, d in reversed(word[:t]):
-        out = mode_action(spec, g, -d, out)
-    return out
+# _mode_mono and _cp_pair are unbounded lru_caches keyed by the spec, ints and
+# monomial tuples, never a State (State is unhashable), so they grow with the
+# monomial basis met, not with the number of states seen.  LieSpec hashes by
+# identity (eq=False), so each spec object gets its own entries, and the
+# caches hold every spec they have seen until voa.clear_caches().  _mode_mono
+# caches its trivial cases too (a mode on the vacuum, a creation mode already
+# in front of the monomial): answered before the cache, each call built a
+# fresh prepended tuple that the cached products no longer shared, and the
+# engine benchmark's peak RSS rose by 7 %.  _cp_mono answers the empty left
+# monomial before the cache, which keeps it out.
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,7 +125,8 @@ def _mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> State:
     """X^i(n), of either sign, applied to a sorted monomial by the relation
 
     [X^i(n), X^j(-d)] = X^[i,j](n-d) + n delta_{n,d} k B(i,j), whose central
-    term never fires for a creation mode (n < 0).
+    term never fires for a creation mode (n < 0).  It is the engine's only
+    rewriting rule: products, derivatives and group actions all reduce to it.
     """
     if not mono or n < 0 and factor_key((i, -n)) <= factor_key(mono[0]):
         return State.wrap({((i, -n),) + mono: ONE} if n < 0 else {})
@@ -235,14 +220,31 @@ def wick_chain(spec: LieSpec, states) -> State:
     return out
 
 
-def derivative(spec: LieSpec, a: State) -> State:
-    """Translation derivative: raises each mode depth with multiplicity."""
+def _derive(spec: LieSpec, a: State, image) -> State:
+    """The derivation sending each factor X^g(-d) to the creation modes
+    image(g, d), a list of (j, depth, coefficient).
+
+    Each monomial is walked from the right by
+    D(X^g(-d) rest) = D(X^g(-d)) rest + X^g(-d) D(rest).
+    """
     acc = {}
     for mono, c in a.terms.items():
-        for t, (g, d) in enumerate(mono):
-            word = mono[:t] + ((g, d + 1),) + mono[t + 1:]
-            merge(acc, canonicalize_word(spec, word).terms, c.scale(d))
+        out = {}
+        for t in range(len(mono) - 1, -1, -1):
+            (g, d), rest = mono[t], mono[t + 1:]
+            new = {}
+            for j, e, cj in image(g, d):
+                merge(new, _mode_mono(spec, j, -e, rest).terms, cj)
+            for m2, c2 in out.items():
+                merge(new, _mode_mono(spec, g, -d, m2).terms, c2)
+            out = new
+        merge(acc, out, c)
     return State.wrap(acc)
+
+
+def derivative(spec: LieSpec, a: State) -> State:
+    """Translation derivative: D X^g(-d) = d X^g(-d-1), extended as a derivation."""
+    return _derive(spec, a, lambda g, d: ((g, d + 1, _int_scalar(d)),))
 
 
 def nth_derivative(spec: LieSpec, a: State, k: int) -> State:
@@ -302,36 +304,33 @@ def sugawara(spec: LieSpec, h_dual) -> State:
 
 
 def apply_group_element(spec: LieSpec, M, a: State) -> State:
-    """Transform every factor's generator index by the matrix M."""
-    n = spec.dim
+    """An automorphism maps a product of modes to the product of their images:
+    X^g(-d) goes to sum_j M[j][g] X^j(-d), applied to each monomial from the right.
+    """
+    images = _columns(M)
     acc = {}
     for mono, c in a.terms.items():
-        words = [(Fraction(1), ())]
-        for g, d in mono:
-            new_words = []
-            for cf, word in words:
-                for j in range(n):
-                    mj = M[j][g]
-                    if mj:
-                        new_words.append((cf * mj, word + ((j, d),)))
-            words = new_words
-        for cf, word in words:
-            merge(acc, canonicalize_word(spec, word).terms, c.scale(cf))
+        out = {(): ONE}
+        for g, d in reversed(mono):
+            new = {}
+            for j, cj in images[g]:
+                for m2, c2 in out.items():
+                    merge(new, _mode_mono(spec, j, -d, m2).terms, c2 * cj)
+            out = new
+        merge(acc, out, c)
     return State.wrap(acc)
 
 
 def lie_act(spec: LieSpec, rho, a: State) -> State:
-    """Infinitesimal action: the derivation replacing one factor at a time."""
-    n = spec.dim
-    acc = {}
-    for mono, c in a.terms.items():
-        for t, (g, d) in enumerate(mono):
-            for j in range(n):
-                rj = rho[j][g]
-                if rj:
-                    word = mono[:t] + ((j, d),) + mono[t + 1:]
-                    merge(acc, canonicalize_word(spec, word).terms, c.scale(rj))
-    return State.wrap(acc)
+    """Infinitesimal action: X^g(-d) goes to sum_j rho[j][g] X^j(-d), as a derivation."""
+    images = _columns(rho)
+    return _derive(spec, a, lambda g, d: [(j, d, cj) for j, cj in images[g]])
+
+
+def _columns(M) -> list:
+    """Column g of the square matrix M as its nonzero (j, M[j][g]) pairs."""
+    n = len(M)
+    return [[(j, coerce_scalar(M[j][g])) for j in range(n) if M[j][g]] for g in range(n)]
 
 
 # -- rendering and serialization ----------------------------------------------

@@ -210,6 +210,19 @@ def test_verify_algebra_form_index_out_of_range(capsys, tmp_path, dim, entry):
     assert "error[ValueError]: form index out of range" in err
 
 
+@pytest.mark.parametrize(
+    "lines, key",
+    [("0 1 = 1\n1 0 = 2", "B(1, 0)"), ("1 0 = 2\n0 1 = 1", "B(0, 1)")],
+    ids=["01-then-10", "10-then-01"],
+)
+def test_verify_algebra_conflicting_form_entries(capsys, tmp_path, lines, key):
+    cfg = tmp_path / "conflict.cfg"
+    cfg.write_text(f"[algebra]\ndim = 2\n\n[form]\n{lines}\n")
+    code, out, err = run(capsys, ["verify", "algebra", "--algebra", str(cfg)])
+    assert code == 2 and out == ""
+    assert f"error[ValueError]: inconsistent form entry {key}" in err
+
+
 def test_verify_algebra_config(capsys, tmp_path):
     cfg = tmp_path / "mysl2.cfg"
     cfg.write_text(SL2_CONFIG)
@@ -239,6 +252,16 @@ def test_sl2_generators_command(capsys):
         ("Qt[0,0]", 2), ("Qt[0,1]", 3), ("Qt[0,2]", 4), ("Qt[1,1]", 4),
     ]
     assert all(r["invariant"] and r["leading_symbol_ok"] for r in rows)
+
+
+def test_decouple_dictionary_weight_budget(capsys):
+    # each dictionary entry j_m has weight m + 2, checked before it is built
+    code, out, err = run(
+        capsys,
+        ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j100000", "--target", "j4"],
+    )
+    assert code == 2 and out == ""
+    assert "error[ResourceError]: dictionary weight = 100002 exceeds the bound" in err
 
 
 def test_circle_result_weight_budget(capsys, monkeypatch):
@@ -399,6 +422,8 @@ GOLDEN_COMMANDS = {
     "sl2-generators": ["sl2-generators", "--max-weight", "6", "--json"],
     "ope": ["ope", "--algebra", "sl2", "x", "y", "--json"],
     "circle": ["circle", "--algebra", "sl2", "--n", "-1", "y", "x", "--json"],
+    "invariants-sl2": ["invariants", "--algebra", "sl2", "--action", "adjoint", "--weight", "4",
+                       "--json"],
 }
 
 

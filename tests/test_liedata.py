@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -203,6 +204,22 @@ def test_parse_config_matches_builtin():
 def test_parse_config_errors(text):
     with pytest.raises(ValueError):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "form, key",
+    [({(0, 1): 1, (1, 0): 2}, "B(1, 0)"), ({(1, 0): 2, (0, 1): 1}, "B(0, 1)")],
+)
+def test_build_spec_rejects_conflicting_form_entries(form, key):
+    with pytest.raises(ValueError, match=rf"inconsistent form entry {re.escape(key)}"):
+        build_spec(2, ["a", "b"], {}, form)
+    spec = build_spec(2, ["a", "b"], {}, {(0, 1): 2, (1, 0): 2, (1, 1): 1})
+    assert spec.form == ((0, 2), (2, 1))
+
+
+def test_build_spec_rejects_conflicting_bracket_entries():
+    with pytest.raises(ValueError, match=re.escape("inconsistent bracket entry c(1, 0, 0)")):
+        build_spec(2, ["a", "b"], {(0, 1, 0): 1, (1, 0, 0): 1}, {})
 
 
 def test_builtin_algebra():

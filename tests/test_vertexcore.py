@@ -43,8 +43,8 @@ def _reference_canonicalize_word(spec, word):
     """A word sorted by adjacent swaps with the bracket correction
 
     X^i(-a) X^j(-b) = X^j(-b) X^i(-a) + X^[i,j](-a-b); no central terms arise
-    since a+b > 0.  Memoized per call on words; the engine instead applies
-    the word's modes to its sorted tail.
+    since a+b > 0.  Memoized per call on words; _word_state instead applies
+    the word's modes to the vacuum through the engine's mode action.
     """
     memo = {}
 
@@ -67,13 +67,22 @@ def _reference_canonicalize_word(spec, word):
     return canon(word)
 
 
+def _word_state(spec, word):
+    """The word X^{i_1}(-m_1) ... X^{i_r}(-m_r)|0>: its creation modes applied
+    to the vacuum from right to left."""
+    out = State.vacuum()
+    for g, d in reversed(word):
+        out = vc.mode_action(spec, g, -d, out)
+    return out
+
+
 @pytest.mark.parametrize("spec", [H2, SL2], ids=["heisenberg2", "sl2"])
 def test_canonicalize_word_matches_adjacent_swaps(spec):
     rng = random.Random(11)
     for _ in range(60):
         word = tuple((rng.randrange(spec.dim), rng.randint(1, 4))
                      for _ in range(rng.randint(0, 6)))
-        assert vc.canonicalize_word(spec, word) == _reference_canonicalize_word(spec, word)
+        assert _word_state(spec, word) == _reference_canonicalize_word(spec, word)
 
 
 def test_canonicalize_long_sl2_words_match_adjacent_swaps():
@@ -83,14 +92,81 @@ def test_canonicalize_long_sl2_words_match_adjacent_swaps():
     # every pair of the first six factors is out of order
     words.append(((H, 1), (Y, 1), (X, 1), (H, 2), (Y, 2), (X, 2), (Y, 1), (X, 1)))
     for word in words:
-        assert vc.canonicalize_word(SL2, word) == _reference_canonicalize_word(SL2, word)
+        assert _word_state(SL2, word) == _reference_canonicalize_word(SL2, word)
 
 
 def test_canonicalize_reversed_long_words():
     # the stack depth must not grow with the word's inversion count
     for length in (33, 300):
         word = tuple((0, d) for d in range(1, length + 1))
-        assert vc.canonicalize_word(H1, word) == st(word[::-1])
+        assert _word_state(H1, word) == st(word[::-1])
+
+
+# -- derivations and group actions against word expansions ----------------------
+
+
+def _reference_derivative(spec, a):
+    """Raise one factor's mode depth at a time, then sort the word."""
+    out = State.zero()
+    for mono, c in a.terms.items():
+        for t, (g, d) in enumerate(mono):
+            word = mono[:t] + ((g, d + 1),) + mono[t + 1:]
+            out = out + _reference_canonicalize_word(spec, word).scale(c.scale(d))
+    return out
+
+
+def _reference_lie_act(spec, rho, a):
+    """Replace one factor's generator at a time, then sort the word."""
+    out = State.zero()
+    for mono, c in a.terms.items():
+        for t, (g, d) in enumerate(mono):
+            for j in range(spec.dim):
+                if rho[j][g]:
+                    word = mono[:t] + ((j, d),) + mono[t + 1:]
+                    out = out + _reference_canonicalize_word(spec, word).scale(c.scale(rho[j][g]))
+    return out
+
+
+def _reference_apply_group_element(spec, M, a):
+    """Expand every factor's image into words, then sort each word."""
+    out = State.zero()
+    for mono, c in a.terms.items():
+        words = [(Fraction(1), ())]
+        for g, d in mono:
+            words = [(cf * M[j][g], word + ((j, d),))
+                     for cf, word in words for j in range(spec.dim) if M[j][g]]
+        for cf, word in words:
+            out = out + _reference_canonicalize_word(spec, word).scale(c.scale(cf))
+    return out
+
+
+_O2 = liedata.orthogonal_action(2)
+_AD = liedata.adjoint_action(SL2).lie_generators
+_CHEVALLEY = ((0, 1, 0), (1, 0, 0), (0, 0, -1))  # x <-> y, h -> -h
+_NONORTHOGONAL = ((1, 2, 0), (0, 1, -1), (3, 0, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "spec, rhos, mats",
+    [
+        (H2, _O2.lie_generators, _O2.finite_elements),
+        (SL2, _AD, _AD + (_CHEVALLEY,)),
+        (liedata.abelian(3), (_NONORTHOGONAL,), (_NONORTHOGONAL,)),
+    ],
+    ids=["heisenberg2-orthogonal", "sl2-adjoint", "heisenberg3-nonorthogonal"],
+)
+def test_derivations_and_group_actions_match_word_expansions(spec, rhos, mats):
+    rng = random.Random(29)
+    for _ in range(12):
+        a = _random_state(rng, spec, 5)
+        expected = a
+        for n in range(1, 4):
+            expected = _reference_derivative(spec, expected)
+            assert vc.nth_derivative(spec, a, n) == expected
+        for rho in rhos:
+            assert vc.lie_act(spec, rho, a) == _reference_lie_act(spec, rho, a)
+        for M in mats:
+            assert vc.apply_group_element(spec, M, a) == _reference_apply_group_element(spec, M, a)
 
 
 # -- circle products -------------------------------------------------------------
@@ -324,7 +400,7 @@ def test_cache_stats_counts_entries():
     dictionary_caches = tuple(
         f"orbifold._OMEGA_CACHE.{name}" for name in ("_deriv_cache", "_stages", "_closure")
     )
-    engine = ("_int_scalar", "canonicalize_word", "_mode_mono", "_cp_pair")
+    engine = ("_int_scalar", "_mode_mono", "_cp_pair")
     engine_caches = tuple(f"vertexcore.{name}" for name in engine)
     image_caches = tuple(f"classical.{name}" for name in ("weyl_q", "sl2_q", "sl2_c"))
     counted = dictionary_caches + engine_caches + image_caches
