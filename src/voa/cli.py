@@ -190,7 +190,7 @@ def _parse_j_name(name: str) -> int:
 
 def cmd_decouple(args) -> int:
     spec, config_action = load_algebra(args.algebra)
-    if not spec.is_abelian():
+    if spec.free_field is None:
         raise ValueError("decouple search is wired for the abelian (heisenberg) case")
     action = resolve_action(spec, args.action, config_action)
     target_m = _parse_j_name(args.target)

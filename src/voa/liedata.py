@@ -11,6 +11,8 @@ plus finite elements for disconnected groups such as O(n).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
@@ -48,8 +50,19 @@ class LieSpec:
         except ValueError:
             raise KeyError(f"unknown generator {label!r} (have {', '.join(self.labels)})")
 
-    def is_abelian(self) -> bool:
-        return all(not c for row in self.structure for vec in row for c in vec)
+    @functools.cached_property
+    def free_field(self):
+        """``(form, den)`` for an abelian spec, None otherwise.
+
+        ``form`` is den * B as a tuple of integer rows, over the least common
+        denominator ``den`` of B's entries.  The vertex engine takes
+        Wick's closed form for circle products when this is not None; it is
+        decided once per spec.
+        """
+        if any(c for row in self.structure for vec in row for c in vec):
+            return None
+        den = math.lcm(*(b.denominator for row in self.form for b in row))
+        return tuple(tuple(int(b * den) for b in row) for row in self.form), den
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +131,6 @@ def build_spec(dim, labels, bracket_entries, form_entries, name="lie") -> LieSpe
 
 
 # -- built-in algebras ---------------------------------------------------------
-
-
-import functools
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,7 +329,7 @@ def parse_config(text: str, name: str = "config"):
     brackets = {}
     form = {}
     blocks = []  # (kind, rows)
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -335,14 +345,16 @@ def parse_config(text: str, name: str = "config"):
                 labels = val.split()
             else:
                 raise ValueError(f"unknown [algebra] key {key!r}")
-        elif section == "brackets":
+        elif section in ("brackets", "form"):
             lhs, _, val = line.partition("=")
-            i, j, l = (int(t) for t in lhs.split())
-            brackets[(i, j, l)] = Fraction(val.strip())
-        elif section == "form":
-            lhs, _, val = line.partition("=")
-            i, j = (int(t) for t in lhs.split())
-            form[(i, j)] = Fraction(val.strip())
+            table, width = (brackets, 3) if section == "brackets" else (form, 2)
+            key = tuple(int(t) for t in lhs.split())
+            if len(key) != width:
+                raise ValueError(f"[{section}] needs {width} indices, line {number}: {raw!r}")
+            if key in table:
+                shown = " ".join(map(str, key))
+                raise ValueError(f"repeated [{section}] key {shown}, line {number}: {raw!r}")
+            table[key] = Fraction(val.strip())
         elif section == "action":
             if line.lower() in ("lie", "finite"):
                 blocks.append((line.lower(), []))

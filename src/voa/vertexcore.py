@@ -13,6 +13,20 @@ a o_n b is a(n)b under the state-field correspondence.  The n-th mode of
 (1/m!) d^m X^i(z) is (-1)^m binom(n, m) X^i(n-m), which drives the circle
 product recursion on the leftmost factor of a.
 
+For an abelian spec (a free field: the Heisenberg algebra) a o_n b has a
+closed form by Wick's theorem (Bais, Bouwknegt, Surridge and Schoutens,
+Nucl. Phys. B 304 (1988) 348; Kac, *Vertex Algebras for Beginners*).  For
+monomials a and b it is a sum over the partial matchings of a's factors into
+b's factors.  A contracted pair, a's X^i(-d) with b's X^j(-e), contributes
+(-1)^(d-1) binom(e+d-1, d-1) e k B(i, j), and b loses that factor.  Each
+free factor X^i(-d) of a becomes a creation factor X^i(-q), q >= d, with
+weight binom(q-1, d-1), and the free q's exceed their d's by
+-n-1 + sum over the contracted pairs of (d+e) in total, so a matching with
+a negative excess contributes nothing.  Every term is an integer times
+(k/den)^c for c contractions, with B = form/den in integers, so the
+coefficients are summed as integers and made scalars once per monomial.
+Whether a spec takes this path is decided once, by ``LieSpec.free_field``.
+
 Leading symbols use the normalization x_{i,j} <-> (1/j!) d^j X^i, i.e. the
 monomial factor at mode depth j+1 maps to the variable x_{i,j} with no extra
 scalar.
@@ -25,7 +39,7 @@ import math
 from fractions import Fraction
 
 from .liedata import LieSpec
-from .scalars import K, ONE, ZERO, LevelScalar
+from .scalars import K, ONE, ZERO, LevelScalar, _mkpoly, _mkscalar, _P_ONE
 from .terms import Terms, merge
 
 Mono = tuple  # tuple of (generator index, mode depth >= 1) pairs
@@ -112,7 +126,14 @@ def degree(a: State) -> int:
 # monomial tuples, never a State (State is unhashable), so they grow with the
 # monomial basis met, not with the number of states seen.  LieSpec hashes by
 # identity (eq=False), so each spec object gets its own entries, and the
-# caches hold every spec they have seen until voa.clear_caches().  _mode_mono
+# caches hold every spec they have seen until voa.clear_caches().  On a miss
+# for an abelian spec (spec.free_field is not None, decided once per spec)
+# _cp_pair returns Wick's closed form, _cp_free: a sum over the partial
+# matchings of a's factors into b's factors, each term an integer times
+# (k/den)^c for c contractions (module docstring).  It makes no sub-products,
+# so only the pairs asked for are cached; every other spec takes the
+# recursion on a's leftmost factor, which caches its sub-products too.
+# _mode_mono
 # caches its trivial cases too (a mode on the vacuum, a creation mode already
 # in front of the monomial): answered before the cache, each call built a
 # fresh prepended tuple that the cached products no longer shared, and the
@@ -169,6 +190,9 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
 
 @functools.lru_cache(maxsize=None)
 def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
+    free = spec.free_field
+    if free is not None:
+        return _cp_free(free, amono, n, bmono)
     (i, d), u = amono[0], amono[1:]
     m = d - 1
     wu = mono_weight(u)
@@ -189,6 +213,64 @@ def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
         for bm, cb in _mode_mono(spec, i, j - m, bmono).terms.items():
             merge(acc, _cp_mono(spec, u, n - j - 1, bm).terms, cb * coef)
     return State.wrap(acc)
+
+
+def _cp_free(free, amono: Mono, n: int, bmono: Mono) -> State:
+    """amono o_n bmono for an abelian spec by Wick's theorem (module docstring).
+
+    b's factors are matched by distinct factor, weighted by multiplicity.
+    """
+    form, den = free
+    left = {}  # b's unmatched factors and their multiplicities
+    for f in bmono:
+        left[f] = left.get(f, 0) + 1
+    top = min(len(amono), len(bmono))  # the most contractions a term can have
+    acc = {}  # monomial -> integer coefficient of (k/den)^c at index c
+    unmatched = []  # a's free factors
+
+    def spread(t, excess, coef, c, factors):
+        # give the free factors t, t+1, ... their q's, the last one the rest
+        if t == len(unmatched):
+            mono = tuple(sorted(factors, key=factor_key))
+            coefs = acc.get(mono)
+            if coefs is None:
+                coefs = acc[mono] = [0] * (top + 1)
+            coefs[c] += coef
+            return
+        i, d = unmatched[t]
+        for x in range(excess + 1) if t + 1 < len(unmatched) else (excess,):
+            q = d + x
+            spread(t + 1, excess - x, coef * math.comb(q - 1, d - 1), c, factors + [(i, q)])
+
+    def match(r, coef, c, excess):
+        if r == len(amono):
+            if excess == 0 or (excess > 0 and unmatched):
+                spread(0, excess, coef, c, [f for f, m in left.items() for _ in range(m)])
+            return
+        i, d = amono[r]
+        unmatched.append((i, d))
+        match(r + 1, coef, c, excess)
+        unmatched.pop()
+        row = form[i]
+        signed = coef if d % 2 else -coef
+        for (j, e), mult in left.items():
+            if mult and row[j]:
+                left[j, e] = mult - 1
+                w = signed * mult * math.comb(e + d - 1, d - 1) * e * row[j]
+                match(r + 1, w, c + 1, excess + d + e)
+                left[j, e] = mult
+
+    match(0, 1, 0, -n - 1)
+    out = {}
+    for mono, ints in acc.items():
+        if den != 1:
+            ints = [v * den ** (top - c) for c, v in enumerate(ints)]
+        poly = _mkpoly(ints, den**top)
+        if len(poly.ints) == 1 and poly.den == 1:
+            out[mono] = _int_scalar(poly.ints[0])
+        elif poly.ints:
+            out[mono] = _mkscalar(poly, _P_ONE)
+    return State.wrap(out)
 
 
 def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:

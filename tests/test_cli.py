@@ -410,11 +410,15 @@ GOLDEN = Path(__file__).parent / "golden"
 # value test_orbifold.py::test_remainder_direct_r3 checks.  Each file under
 # tests/golden/ is the command's standard output, written with
 #   PYTHONPATH=src PYTHONHASHSEED=1 python -m voa.cli <argv> > tests/golden/<name>.json
-# at commit bcbf7e7, before the integer fast path in LevelScalar products.
+# at commit bcbf7e7, before the integer fast path in LevelScalar products;
+# decouple-j6.json at commit 0ed7d23, before Wick's closed form for abelian
+# circle products, whose deeper products it pins.
 GOLDEN_COMMANDS = {
     "table1": ["table1", "--n-max", "6", "--json"],
     "decouple": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j4",
                  "--json"],
+    "decouple-j6": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j6",
+                    "--json"],
     "invariants": ["invariants", "--algebra", "heisenberg2", "--action", "orthogonal",
                    "--weight", "4", "--json"],
     "remainder-direct": ["remainder-direct", "--n", "2", "--I", "0,1,2", "--J", "0,1,4",

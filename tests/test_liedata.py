@@ -199,11 +199,28 @@ def test_parse_config_matches_builtin():
         "[algebra]\ndim = 2\nlabels = a\n",  # label count mismatch
         "[algebra]\ndim = 2\n[brackets]\n0 1 5 = 1\n",  # index out of range
         "[algebra]\ndim = 2\n[action]\n1 0\n",  # row before block kind
+        "[algebra]\ndim = 2\n[form]\n0 1 1 = 1\n",  # three indices for a form entry
     ],
 )
 def test_parse_config_errors(text):
     with pytest.raises(ValueError):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "section, lines, message",
+    [
+        ("form", ["0 1 = 1", "0 1 = 2"], "repeated [form] key 0 1, line 5: '0 1 = 2'"),
+        ("form", ["1 1 = 1", "1  1 = 1"], "repeated [form] key 1 1, line 5: '1  1 = 1'"),
+        ("brackets", ["0 1 0 = 1", "0 1 0 = 1"], "repeated [brackets] key 0 1 0, line 5"),
+    ],
+)
+def test_parse_config_rejects_repeated_keys(section, lines, message):
+    text = "\n".join(["[algebra]", "dim = 2", f"[{section}]", *lines])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(text)
+    # each key once is accepted
+    parse_config("\n".join(["[algebra]", "dim = 2", f"[{section}]", lines[0]]))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,13 @@ from voa.vertexcore import State
 SL2 = liedata.sl2_spec()
 H1 = liedata.abelian(1)
 H2 = liedata.abelian(2)
+H3 = liedata.abelian(3)
 X, Y, H = 0, 1, 2
+
+# an abelian spec whose form has rational and off-diagonal entries
+RATIONAL_FORM, _ = liedata.parse_config(
+    "[algebra]\ndim = 2\nlabels = p q\n[form]\n0 0 = -1/3\n0 1 = 3/2\n", name="rational"
+)
 
 
 def st(mono, c=1):
@@ -490,7 +496,11 @@ def _reference_circle_product(spec, a, n, b):
     return State.sum(cp(amono, n, b).scale(c) for amono, c in a.terms.items())
 
 
-@pytest.mark.parametrize("spec", [H2, SL2], ids=["heisenberg2", "sl2"])
+@pytest.mark.parametrize(
+    "spec",
+    [H1, H2, H3, RATIONAL_FORM, SL2],
+    ids=["heisenberg1", "heisenberg2", "heisenberg3", "rational-form", "sl2"],
+)
 def test_circle_product_matches_whole_state_recursion(spec):
     from voa import verify
 
@@ -514,3 +524,75 @@ def test_circle_product_caches_monomial_pairs_only():
         vc._cp_pair(SL2, a, -1, b)
     with pytest.raises(TypeError):
         hash(b)
+
+
+def _monomials(dim, max_weight):
+    """Every sorted monomial of weight <= max_weight over dim generators, sorted."""
+    out = {()}
+    for _ in range(max_weight):
+        out |= {
+            tuple(sorted(m + ((g, d),), key=vc.factor_key))
+            for m in out
+            for g in range(dim)
+            for d in range(1, max_weight - vc.mono_weight(m) + 1)
+        }
+    return sorted(out)
+
+
+@pytest.mark.parametrize("spec", [H1, RATIONAL_FORM], ids=["heisenberg1", "rational-form"])
+def test_free_field_monomial_products_match_whole_state_recursion(spec):
+    # Wick's closed form against the independent recursion, monomial by
+    # monomial: repeated factors on both sides, the vacuum as b, and every n
+    # from -3 up to the sum of the weights, where the product vanishes
+    monos = _monomials(spec.dim, 3) + [((0, 1),) * 4, ((0, 2), (0, 1), (0, 1), (0, 1))]
+    if spec.dim > 1:
+        monos += [((1, 2), (0, 1), (1, 1)), ((0, 2), (1, 2), (1, 1), (1, 1))]
+    for amono in monos[1:]:
+        for bmono in monos:
+            wa, wb = vc.mono_weight(amono), vc.mono_weight(bmono)
+            for n in range(-3, wa + wb + 1):
+                got = vc.circle_product(spec, st(amono), n, st(bmono))
+                assert got == _reference_circle_product(spec, st(amono), n, st(bmono))
+                if n >= wa + wb:
+                    assert got.is_zero()
+
+
+def test_only_abelian_specs_take_the_free_field_branch(monkeypatch):
+    assert SL2.free_field is None
+    assert H2.free_field == (((1, 0), (0, 1)), 1)
+    assert RATIONAL_FORM.free_field == (((-2, 9), (9, 0)), 6)
+    taken = []
+    real = vc._cp_free
+
+    def spy(free, amono, n, bmono):
+        taken.append(free)
+        return real(free, amono, n, bmono)
+
+    monkeypatch.setattr(vc, "_cp_free", spy)
+    vc._cp_pair.cache_clear()
+    rng = random.Random(17)
+    for _ in range(10):
+        a, b = _random_state(rng, SL2, 5), _random_state(rng, SL2, 5)
+        for n in range(-2, 4):
+            vc.circle_product(SL2, a, n, b)
+    assert vc._cp_pair.cache_info().currsize > 0
+    assert taken == []
+    vc.circle_product(H2, State.generator(0), 1, State.generator(0))
+    assert taken == [H2.free_field]
+
+
+def test_free_field_products_fill_only_the_pair_cache():
+    import voa
+
+    voa.clear_caches()
+    keys = set(voa.cache_stats())
+    a = vc.wick(H2, State.generator(0), State.generator(1)) + st(((0, 3),))
+    b = st(((1, 2), (0, 1), (0, 1)), K) + st(((1, 1),))
+    voa.clear_caches()
+    vc.circle_product(H2, a, 1, b)
+    stats = voa.cache_stats()
+    assert set(stats) == keys
+    # Wick's closed form makes no sub-products: one entry per monomial pair
+    assert stats["vertexcore._cp_pair"] == len(a.terms) * len(b.terms)
+    voa.clear_caches()
+    assert voa.cache_stats()["vertexcore._cp_pair"] == 0
