@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .liedata import ActionSpec
+from .liedata import ActionSpec, _exact
 from .terms import Terms, merge, sort_sign, weighted_multisets
 
 # sl2 classical variable families, in the basis order of liedata.sl2_spec()
@@ -26,15 +26,6 @@ SL2_X, SL2_Y, SL2_H = 0, 1, 2
 #: hand every caller the same object (polynomials are never mutated), so a
 #: substitution builds each symbol's image once
 IMAGE_CACHE_SIZE = 256
-
-
-def _exact(c):
-    """The exact rational c: an int as it is, anything else as a Fraction,
-    which comes back as its numerator, an int, when it is integral."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _product(self, other):

@@ -31,6 +31,15 @@ def mat(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _exact(c):
+    """The exact rational c: an int as it is, anything else as a Fraction,
+    which comes back as its numerator, an int, when it is integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass(frozen=True, eq=False)
 class LieSpec:
     """A Lie algebra with a symmetric invariant bilinear form.
@@ -63,6 +72,22 @@ class LieSpec:
             return None
         den = math.lcm(*(b.denominator for row in self.form for b in row))
         return tuple(tuple(int(b * den) for b in row) for row in self.form), den
+
+    @functools.cached_property
+    def exact_tables(self):
+        """``(brackets, form)``: the vertex engine's view of the structure and the form.
+
+        ``brackets[i][j]`` lists the nonzero ``(l, c)`` with [xi_i, xi_j] =
+        sum c xi_l, and ``form[i][j]`` is B(i, j).  Every entry is ``_exact``:
+        an ``int`` where it is integral, so the engine's caches hold integers
+        on an integral spec, and a ``Fraction`` only where it is not.  The
+        validators' identity sums run over ``brackets`` too.
+        """
+        brackets = tuple(
+            tuple(tuple((l, _exact(c)) for l, c in enumerate(vec) if c) for vec in row)
+            for row in self.structure
+        )
+        return brackets, tuple(tuple(_exact(b) for b in row) for row in self.form)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,14 +217,6 @@ def orthogonal_action(n: int) -> ActionSpec:
 # -- validation ----------------------------------------------------------------
 
 
-def _nonzero_constants(spec: LieSpec):
-    """nz[i][j]: the (l, c) with c the nonzero coefficient of xi_l in [xi_i, xi_j].
-
-    The identity sums of the validators run over these only.
-    """
-    return [[[(p, v) for p, v in enumerate(vec) if v] for vec in row] for row in spec.structure]
-
-
 def validate(spec: LieSpec) -> ValidationReport:
     """Check antisymmetry, Jacobi, form symmetry, invariance, nondegeneracy."""
     n = spec.dim
@@ -210,7 +227,7 @@ def validate(spec: LieSpec) -> ValidationReport:
             for l in range(n):
                 if c[i][j][l] != -c[j][i][l]:
                     rep.add("antisymmetry", (i, j, l))
-    nz = _nonzero_constants(spec)
+    nz = spec.exact_tables[0]  # the identity sums run over nonzero constants
     for i in range(n):
         for j in range(n):
             for l in range(n):
@@ -245,7 +262,7 @@ def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
     n = spec.dim
     B = spec.form
     rep = ValidationReport()
-    nz = _nonzero_constants(spec)
+    nz = spec.exact_tables[0]  # the identity sums run over nonzero constants
 
     def columns(m):
         """The nonzero entries of each column of m, as (row, entry) pairs."""

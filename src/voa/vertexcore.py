@@ -23,9 +23,22 @@ free factor X^i(-d) of a becomes a creation factor X^i(-q), q >= d, with
 weight binom(q-1, d-1), and the free q's exceed their d's by
 -n-1 + sum over the contracted pairs of (d+e) in total, so a matching with
 a negative excess contributes nothing.  Every term is an integer times
-(k/den)^c for c contractions, with B = form/den in integers, so the
-coefficients are summed as integers and made scalars once per monomial.
-Whether a spec takes this path is decided once, by ``LieSpec.free_field``.
+(k/den)^c for c contractions, with B = form/den in integers.  Whether a
+spec takes this path is decided once, by ``LieSpec.free_field``.
+
+The OPE coefficients of V_k(g, B) are polynomials in k with the structure
+constants, B and binomials as coefficients, so the engine computes inside
+with integer maps {(monomial, p): c}, meaning sum c k^p monomial, where c is
+an int, or a Fraction only for a spec whose structure constants or form are
+not integral (``LieSpec.exact_tables``).  The cached mode actions and
+monomial products are such maps.  States keep ``LevelScalar``
+coefficients, and each public entry point (``circle_product``,
+``mode_action``, ``derivative``, ``lie_act``, ``apply_group_element``)
+converts once per call: its (state coefficient, integer map) pairs are
+grouped by the coefficient's denominator polynomial, summed in integers over
+one common integer denominator per group, and each output monomial's scalar
+is built once (common denominators: von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 5-6).
 
 Leading symbols use the normalization x_{i,j} <-> (1/j!) d^j X^i, i.e. the
 monomial factor at mode depth j+1 maps to the variable x_{i,j} with no extra
@@ -37,9 +50,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from math import lcm
 
-from .liedata import LieSpec
-from .scalars import K, ONE, ZERO, LevelScalar, _mkpoly, _mkscalar, _P_ONE
+from .liedata import LieSpec, _exact
+from .scalars import K, ONE, ZERO, LevelPolynomial, LevelScalar, _mkpoly, _mkscalar, _P_ONE
 from .terms import Terms, merge
 
 Mono = tuple  # tuple of (generator index, mode depth >= 1) pairs
@@ -122,6 +136,13 @@ def degree(a: State) -> int:
 
 # -- cached mode actions and products -----------------------------------------
 #
+# The engine's values are integer maps {(mono, p): c}, meaning sum c k^p mono
+# (module docstring): _mode_mono, _cp_pair, _cp_free and _cp_mono return them,
+# the walks of _derive and apply_group_element build them, and _to_state, the
+# one conversion to LevelScalars, turns a public call's (state coefficient,
+# integer map) pairs into a State once per call.  Callers only read the
+# cached maps.
+#
 # _mode_mono and _cp_pair are unbounded lru_caches keyed by the spec, ints and
 # monomial tuples, never a State (State is unhashable), so they grow with the
 # monomial basis met, not with the number of states seen.  LieSpec hashes by
@@ -131,9 +152,8 @@ def degree(a: State) -> int:
 # _cp_pair returns Wick's closed form, _cp_free: a sum over the partial
 # matchings of a's factors into b's factors, each term an integer times
 # (k/den)^c for c contractions (module docstring).  It makes no sub-products,
-# so only the pairs asked for are cached; every other spec takes the
-# recursion on a's leftmost factor, which caches its sub-products too.
-# _mode_mono
+# so only the pairs asked for are cached; every other spec takes the recursion
+# on a's leftmost factor, which caches its sub-products too.  _mode_mono
 # caches its trivial cases too (a mode on the vacuum, a creation mode already
 # in front of the monomial): answered before the cache, each call built a
 # fresh prepended tuple that the cached products no longer shared, and the
@@ -141,55 +161,138 @@ def degree(a: State) -> int:
 # monomial before the cache, which keeps it out.
 
 
+def _imerge(acc: dict, terms: dict, c, p: int = 0):
+    """acc += c k^p terms over integer maps; drops cancellations."""
+    for key, v in terms.items():
+        if p:
+            key = key[0], key[1] + p
+        s = acc.get(key, 0) + v * c
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+def _to_state(pairs: list) -> State:
+    """sum c * terms over (LevelScalar c, integer map terms) pairs, as a State.
+
+    A lone pair is scaled by its numerator as integers (a numerator 1 passes
+    its map through unscaled).  Otherwise the pairs are grouped by the
+    denominator polynomial of c, by identity for the common denominator 1;
+    within a group every numerator is brought to the lcm of the group's
+    integer denominators and summed into one integer map.  Each map's
+    monomials get one LevelScalar each, and the groups' scalars are added.
+    """
+    if len(pairs) == 1:
+        c, terms = pairs[0]
+        return State.wrap(_scalars(_scaled(terms, c.num.ints), c.num.den, c.den))
+    groups = {}
+    for c, terms in pairs:
+        if terms:
+            groups.setdefault(None if c.den is _P_ONE else c.den, []).append((c.num, terms))
+    out = {}
+    for den, group in groups.items():
+        lcd = lcm(*[num.den for num, _ in group])
+        acc = {}
+        for num, terms in group:
+            s = lcd // num.den
+            for p, x in enumerate(num.ints):
+                if x:
+                    _imerge(acc, terms, x * s, p)
+        built = _scalars(acc, lcd, _P_ONE if den is None else den)
+        if out:
+            merge(out, built)
+        else:
+            out = built
+    return State.wrap(out)
+
+
+def _scaled(terms: dict, ints) -> dict:
+    """(sum ints[p] k^p) terms as an integer map; terms itself when that is 1."""
+    if len(ints) == 1:
+        x = ints[0]
+        return terms if x == 1 else {key: v * x for key, v in terms.items()}
+    acc = {}
+    for p, x in enumerate(ints):
+        if x:
+            _imerge(acc, terms, x, p)
+    return acc
+
+
+def _scalars(acc: dict, lcd: int, den) -> dict:
+    """{monomial: LevelScalar} of the integer map acc over the integer lcd and
+    the denominator polynomial den."""
+    if lcd == 1 and den is _P_ONE:
+        # the common case, integers free of k: the cached small scalars
+        out = {}
+        for (mono, p), v in acc.items():
+            if p or type(v) is not int:
+                break
+            out[mono] = _int_scalar(v)
+        else:
+            return out
+    polys = {}  # monomial -> its coefficients of k^0, k^1, ...
+    for (mono, p), v in acc.items():
+        cs = polys.get(mono)
+        if cs is None:
+            polys[mono] = [v] if p == 0 else [0] * p + [v]
+        else:
+            if len(cs) <= p:
+                cs += [0] * (p + 1 - len(cs))
+            cs[p] = v
+    # Fractions come only from non-integral spec or matrix entries
+    rational = Fraction in set(map(type, acc.values()))
+    for mono, cs in polys.items():
+        if rational:
+            poly = LevelPolynomial([Fraction(c) / lcd for c in cs])
+        else:
+            poly = _mkpoly(cs, lcd)
+        polys[mono] = _mkscalar(poly, _P_ONE) if den is _P_ONE else LevelScalar(poly, den)
+    return polys
+
+
 @functools.lru_cache(maxsize=None)
-def _mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> State:
+def _mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> dict:
     """X^i(n), of either sign, applied to a sorted monomial by the relation
 
     [X^i(n), X^j(-d)] = X^[i,j](n-d) + n delta_{n,d} k B(i,j), whose central
     term never fires for a creation mode (n < 0).  It is the engine's only
     rewriting rule: products, derivatives and group actions all reduce to it.
+    The result is an integer map.
     """
     if not mono or n < 0 and factor_key((i, -n)) <= factor_key(mono[0]):
-        return State.wrap({((i, -n),) + mono: ONE} if n < 0 else {})
+        return {(((i, -n),) + mono, 0): 1} if n < 0 else {}
     (j, d), rest = mono[0], mono[1:]
+    brackets, form = spec.exact_tables
     # commute past the first factor, then bracket and central corrections
     acc = {}
-    for m2, c2 in _mode_mono(spec, i, n, rest).terms.items():
-        merge(acc, _mode_mono(spec, j, -d, m2).terms, c2)
-    for l, cl in enumerate(spec.structure[i][j]):
-        if cl:
-            merge(acc, _mode_mono(spec, l, n - d, rest).terms, coerce_scalar(cl))
-    if n == d:
-        b = spec.form[i][j]
-        if b:
-            merge(acc, {rest: K.scale(n * b)}, None)
-    return State.wrap(acc)
+    for (m2, p2), c2 in _mode_mono(spec, i, n, rest).items():
+        _imerge(acc, _mode_mono(spec, j, -d, m2), c2, p2)
+    for l, cl in brackets[i][j]:
+        _imerge(acc, _mode_mono(spec, l, n - d, rest), cl)
+    if n == d and form[i][j]:
+        _imerge(acc, {(rest, 1): n * form[i][j]}, 1)
+    return acc
 
 
 def mode_action(spec: LieSpec, i: int, n: int, v: State) -> State:
     """The action of X^{xi_i}(n) on a state of the level-k vacuum module."""
-    acc = {}
-    for mono, c in v.terms.items():
-        merge(acc, _mode_mono(spec, i, n, mono).terms, c)
-    return State.wrap(acc)
+    return _to_state([(c, _mode_mono(spec, i, n, mono)) for mono, c in v.terms.items()])
 
 
 def _binom_int(j: int, m: int) -> int:
     """binom(j, m) for any integer j and m >= 0."""
-    num = 1
-    for t in range(m):
-        num *= j - t
-    return num // math.factorial(m)
+    return math.comb(j, m) if j >= 0 else (-1) ** m * math.comb(m - j - 1, m)
 
 
-def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
+def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
     if not amono:
-        return State.wrap({bmono: ONE}) if n == -1 else State.zero()
+        return {(bmono, 0): 1} if n == -1 else {}
     return _cp_pair(spec, amono, n, bmono)
 
 
 @functools.lru_cache(maxsize=None)
-def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
+def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
     free = spec.free_field
     if free is not None:
         return _cp_free(free, amono, n, bmono)
@@ -202,20 +305,21 @@ def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> State:
     # creation-side sum: j = n-1-p <= -1 runs over p with u o_p b nonzero
     for p in range(n, wu + wb):
         inner = _cp_mono(spec, u, p, bmono)
-        if inner.is_zero():
+        if not inner:
             continue
         j = n - 1 - p
-        coef = coerce_scalar(sign * _binom_int(j, m))
-        merge(acc, mode_action(spec, i, j - m, inner).terms, coef)
+        coef = sign * _binom_int(j, m)
+        for (m2, q), c2 in inner.items():
+            _imerge(acc, _mode_mono(spec, i, j - m, m2), c2 * coef, q)
     # annihilation-side sum: X^i(j-m) hits b first, then u acts per monomial
     for j in range(m, m + wb + 1):
-        coef = coerce_scalar(sign * _binom_int(j, m))
-        for bm, cb in _mode_mono(spec, i, j - m, bmono).terms.items():
-            merge(acc, _cp_mono(spec, u, n - j - 1, bm).terms, cb * coef)
-    return State.wrap(acc)
+        coef = sign * _binom_int(j, m)
+        for (bm, q), cb in _mode_mono(spec, i, j - m, bmono).items():
+            _imerge(acc, _cp_mono(spec, u, n - j - 1, bm), cb * coef, q)
+    return acc
 
 
-def _cp_free(free, amono: Mono, n: int, bmono: Mono) -> State:
+def _cp_free(free, amono: Mono, n: int, bmono: Mono) -> dict:
     """amono o_n bmono for an abelian spec by Wick's theorem (module docstring).
 
     b's factors are matched by distinct factor, weighted by multiplicity.
@@ -261,29 +365,27 @@ def _cp_free(free, amono: Mono, n: int, bmono: Mono) -> State:
                 left[j, e] = mult
 
     match(0, 1, 0, -n - 1)
-    out = {}
-    for mono, ints in acc.items():
-        if den != 1:
-            ints = [v * den ** (top - c) for c, v in enumerate(ints)]
-        poly = _mkpoly(ints, den**top)
-        if len(poly.ints) == 1 and poly.den == 1:
-            out[mono] = _int_scalar(poly.ints[0])
-        elif poly.ints:
-            out[mono] = _mkscalar(poly, _P_ONE)
-    return State.wrap(out)
+    return {
+        (mono, c): v if den == 1 else Fraction(v, den**c)
+        for mono, ints in acc.items()
+        for c, v in enumerate(ints)
+        if v
+    }
 
 
 def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
     """The n-th circle product a o_n b, exact over Q(k).
 
     The product is bilinear: it is summed over pairs of monomials, whose
-    products are cached per spec.
+    products are cached per spec as integer maps.
     """
-    acc = {}
+    pairs = []
     for amono, ca in a.terms.items():
         for bmono, cb in b.terms.items():
-            merge(acc, _cp_mono(spec, amono, n, bmono).terms, ca * cb)
-    return State.wrap(acc)
+            terms = _cp_mono(spec, amono, n, bmono)
+            if terms:
+                pairs.append((ca * cb, terms))
+    return _to_state(pairs)
 
 
 def wick(spec: LieSpec, a: State, b: State) -> State:
@@ -304,29 +406,30 @@ def wick_chain(spec: LieSpec, states) -> State:
 
 def _derive(spec: LieSpec, a: State, image) -> State:
     """The derivation sending each factor X^g(-d) to the creation modes
-    image(g, d), a list of (j, depth, coefficient).
+    image(g, d), a list of (j, depth, coefficient) with exact rational
+    coefficients.
 
     Each monomial is walked from the right by
-    D(X^g(-d) rest) = D(X^g(-d)) rest + X^g(-d) D(rest).
+    D(X^g(-d) rest) = D(X^g(-d)) rest + X^g(-d) D(rest), as an integer map.
     """
-    acc = {}
+    pairs = []
     for mono, c in a.terms.items():
         out = {}
         for t in range(len(mono) - 1, -1, -1):
             (g, d), rest = mono[t], mono[t + 1:]
             new = {}
             for j, e, cj in image(g, d):
-                merge(new, _mode_mono(spec, j, -e, rest).terms, cj)
-            for m2, c2 in out.items():
-                merge(new, _mode_mono(spec, g, -d, m2).terms, c2)
+                _imerge(new, _mode_mono(spec, j, -e, rest), cj)
+            for (m2, q), c2 in out.items():
+                _imerge(new, _mode_mono(spec, g, -d, m2), c2, q)
             out = new
-        merge(acc, out, c)
-    return State.wrap(acc)
+        pairs.append((c, out))
+    return _to_state(pairs)
 
 
 def derivative(spec: LieSpec, a: State) -> State:
     """Translation derivative: D X^g(-d) = d X^g(-d-1), extended as a derivation."""
-    return _derive(spec, a, lambda g, d: ((g, d + 1, _int_scalar(d)),))
+    return _derive(spec, a, lambda g, d: ((g, d + 1, d),))
 
 
 def nth_derivative(spec: LieSpec, a: State, k: int) -> State:
@@ -390,17 +493,17 @@ def apply_group_element(spec: LieSpec, M, a: State) -> State:
     X^g(-d) goes to sum_j M[j][g] X^j(-d), applied to each monomial from the right.
     """
     images = _columns(M)
-    acc = {}
+    pairs = []
     for mono, c in a.terms.items():
-        out = {(): ONE}
+        out = {((), 0): 1}
         for g, d in reversed(mono):
             new = {}
             for j, cj in images[g]:
-                for m2, c2 in out.items():
-                    merge(new, _mode_mono(spec, j, -d, m2).terms, c2 * cj)
+                for (m2, q), c2 in out.items():
+                    _imerge(new, _mode_mono(spec, j, -d, m2), c2 * cj, q)
             out = new
-        merge(acc, out, c)
-    return State.wrap(acc)
+        pairs.append((c, out))
+    return _to_state(pairs)
 
 
 def lie_act(spec: LieSpec, rho, a: State) -> State:
@@ -410,9 +513,9 @@ def lie_act(spec: LieSpec, rho, a: State) -> State:
 
 
 def _columns(M) -> list:
-    """Column g of the square matrix M as its nonzero (j, M[j][g]) pairs."""
+    """Column g of the square rational matrix M as its nonzero (j, M[j][g]) pairs."""
     n = len(M)
-    return [[(j, coerce_scalar(M[j][g])) for j in range(n) if M[j][g]] for g in range(n)]
+    return [[(j, _exact(M[j][g])) for j in range(n) if M[j][g]] for g in range(n)]
 
 
 # -- rendering and serialization ----------------------------------------------

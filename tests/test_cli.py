@@ -428,6 +428,7 @@ GOLDEN_COMMANDS = {
     "circle": ["circle", "--algebra", "sl2", "--n", "-1", "y", "x", "--json"],
     "invariants-sl2": ["invariants", "--algebra", "sl2", "--action", "adjoint", "--weight", "4",
                        "--json"],
+    "sugawara-check": ["sugawara-check", "--algebra", "sl2", "--json"],
 }
 
 

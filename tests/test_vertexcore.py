@@ -7,7 +7,7 @@ import pytest
 from voa import classical, liedata
 from voa import vertexcore as vc
 from voa.classical import ClassicalPoly
-from voa.scalars import K, LevelScalar
+from voa.scalars import K, ONE, LevelScalar
 from voa.vertexcore import State
 
 SL2 = liedata.sl2_spec()
@@ -19,6 +19,16 @@ X, Y, H = 0, 1, 2
 # an abelian spec whose form has rational and off-diagonal entries
 RATIONAL_FORM, _ = liedata.parse_config(
     "[algebra]\ndim = 2\nlabels = p q\n[form]\n0 0 = -1/3\n0 1 = 3/2\n", name="rational"
+)
+
+# sl2 in the basis x, y, t = h/3: a nonabelian spec whose structure constants
+# and form are not integral, so its engine caches hold Fractions
+SL2_THIRD = liedata.build_spec(
+    3,
+    ["x", "y", "t"],
+    {(X, Y, 2): 3, (2, X, X): Fraction(2, 3), (2, Y, Y): Fraction(-2, 3)},
+    {(X, Y): 1, (2, 2): Fraction(2, 9)},
+    name="sl2-third",
 )
 
 
@@ -148,8 +158,16 @@ def _reference_apply_group_element(spec, M, a):
 
 _O2 = liedata.orthogonal_action(2)
 _AD = liedata.adjoint_action(SL2).lie_generators
-_CHEVALLEY = ((0, 1, 0), (1, 0, 0), (0, 0, -1))  # x <-> y, h -> -h
+_AD_THIRD = liedata.adjoint_action(SL2_THIRD).lie_generators
+_CHEVALLEY = ((0, 1, 0), (1, 0, 0), (0, 0, -1))  # x <-> y, h -> -h (or t -> -t)
 _NONORTHOGONAL = ((1, 2, 0), (0, 1, -1), (3, 0, Fraction(1, 2)))
+
+
+def test_rational_sl2_basis_is_valid():
+    assert liedata.validate(SL2_THIRD).ok
+    assert liedata.validate_action(SL2_THIRD, liedata.adjoint_action(SL2_THIRD)).ok
+    # [t, x] = 2/3 x: the engine's integer maps hold a Fraction
+    assert vc._mode_mono(SL2_THIRD, 2, 0, ((X, 1),)) == {(((X, 1),), 0): Fraction(2, 3)}
 
 
 @pytest.mark.parametrize(
@@ -158,8 +176,9 @@ _NONORTHOGONAL = ((1, 2, 0), (0, 1, -1), (3, 0, Fraction(1, 2)))
         (H2, _O2.lie_generators, _O2.finite_elements),
         (SL2, _AD, _AD + (_CHEVALLEY,)),
         (liedata.abelian(3), (_NONORTHOGONAL,), (_NONORTHOGONAL,)),
+        (SL2_THIRD, _AD_THIRD, _AD_THIRD + (_CHEVALLEY, _NONORTHOGONAL)),
     ],
-    ids=["heisenberg2-orthogonal", "sl2-adjoint", "heisenberg3-nonorthogonal"],
+    ids=["heisenberg2-orthogonal", "sl2-adjoint", "heisenberg3-nonorthogonal", "sl2-third"],
 )
 def test_derivations_and_group_actions_match_word_expansions(spec, rhos, mats):
     rng = random.Random(29)
@@ -498,8 +517,8 @@ def _reference_circle_product(spec, a, n, b):
 
 @pytest.mark.parametrize(
     "spec",
-    [H1, H2, H3, RATIONAL_FORM, SL2],
-    ids=["heisenberg1", "heisenberg2", "heisenberg3", "rational-form", "sl2"],
+    [H1, H2, H3, RATIONAL_FORM, SL2, SL2_THIRD],
+    ids=["heisenberg1", "heisenberg2", "heisenberg3", "rational-form", "sl2", "sl2-third"],
 )
 def test_circle_product_matches_whole_state_recursion(spec):
     from voa import verify
@@ -596,3 +615,98 @@ def test_free_field_products_fill_only_the_pair_cache():
     assert stats["vertexcore._cp_pair"] == len(a.terms) * len(b.terms)
     voa.clear_caches()
     assert voa.cache_stats()["vertexcore._cp_pair"] == 0
+
+
+# -- integer maps and their one conversion to scalars ----------------------------
+
+
+def _scalar(q):
+    return LevelScalar.from_fraction(q)
+
+
+def _term_by_term(spec, a, n, b):
+    """a o_n b summed one cached integer-map term at a time in LevelScalars."""
+    out = State.zero()
+    for amono, ca in a.terms.items():
+        for bmono, cb in b.terms.items():
+            for (mono, p), v in vc._cp_mono(spec, amono, n, bmono).items():
+                c = ca * cb * _scalar(v)
+                for _ in range(p):
+                    c = c * K
+                out = out + State({mono: c})
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SL2, SL2_THIRD, H2, RATIONAL_FORM],
+    ids=["sl2", "sl2-third", "heisenberg2", "rational-form"],
+)
+def test_products_with_mixed_denominators_match_term_by_term_sums(spec):
+    # coefficients over 1, k+2 and k+3, with k-dependent numerators
+    over_k2 = ONE / (K + _scalar(2))
+    over_k3 = ONE / (K + _scalar(3))
+    k2_plus = K * K + _scalar(Fraction(1, 7))
+    a = (st(((0, 1),)) + st(((1, 1),), K * over_k2)
+         + st(((0, 1), (1, 1)), k2_plus * over_k3) + st(((1, 2),), Fraction(1, 2)))
+    b = (st(((1, 1),), over_k2) + st(((0, 1), (1, 1)), K)
+         + st(((1, 2),), k2_plus) + st(((0, 2),), over_k3.scale(Fraction(-3, 5))))
+    for n in range(-2, 4):
+        got = vc.circle_product(spec, a, n, b)
+        assert got == _term_by_term(spec, a, n, b)
+        assert all(got.terms.values())
+
+
+def test_contributions_of_different_pairs_cancel_exactly():
+    # y(-1)h(-1) appears in both x(-1)y(-1) o_1 b and h(-2) o_1 b
+    a1, a2, b, n = st(((X, 1), (Y, 1))), st(((H, 2),)), st(((Y, 1), (H, 1)), K), 1
+    p1, p2 = vc.circle_product(SL2, a1, n, b), vc.circle_product(SL2, a2, n, b)
+    mono = ((Y, 1), (H, 1))
+    c1, c2 = p1.coefficient(mono), p2.coefficient(mono)
+    assert c1 and c2 and not c1.is_constant()
+    r = ONE / (K + _scalar(2))
+    a = a1.scale(c2 * r) - a2.scale(c1 * r)
+    got = vc.circle_product(SL2, a, n, b)
+    assert mono not in got.terms
+    assert all(got.terms.values())
+    assert got == p1.scale(c2 * r) - p2.scale(c1 * r)
+    assert not got.is_zero()
+    # pairs from different denominator groups: k/(k(k+2)) - 1/(k+2) = 0
+    m, m2 = ((X, 1),), ((Y, 2),)
+    pairs = [(ONE / (K * (K + _scalar(2))), {(m, 1): 1}), (-r, {(m, 0): 1, (m2, 0): 3})]
+    assert vc._to_state(pairs).terms == {m2: r.scale(-3)}
+    # a Fraction value and a power of k in one group
+    pairs = [(r, {(m, 0): Fraction(1, 3), (m, 2): 2}), (r.scale(2), {(m, 0): Fraction(-1, 6)})]
+    assert vc._to_state(pairs).terms == {m: (K * K).scale(2) * r}
+
+
+def test_engine_caches_hold_integer_maps(monkeypatch):
+    import voa
+
+    keys = set(voa.cache_stats())
+    seen = {"_mode_mono": {}, "_cp_pair": {}}
+    for name, entries in seen.items():
+        real = getattr(vc, name)
+        # the engine's recursive calls look the names up in the module
+        monkeypatch.setattr(vc, name, lambda *args, real=real, entries=entries:
+                            entries.setdefault(args, real(*args)))
+    voa.clear_caches()
+    a = vc.wick(SL2, State.generator(X), State.generator(Y)) + st(((H, 2),), K)
+    b = vc.wick(SL2, State.generator(Y), State.generator(H))
+    for n in range(-1, 3):
+        vc.circle_product(SL2, a, n, b)
+    stats = voa.cache_stats()
+    assert set(stats) == keys
+    for name, entries in seen.items():
+        # every cache entry passed through the spy when it was made
+        assert len(entries) == stats[f"vertexcore.{name}"] > 0
+        for value in entries.values():
+            assert type(value) is dict
+            for key, c in value.items():
+                assert type(key) is tuple and len(key) == 2
+                assert type(key[0]) is tuple and type(key[1]) is int
+                assert type(c) is int and c
+    voa.clear_caches()
+    stats = voa.cache_stats()
+    engine = ("_int_scalar", "_mode_mono", "_cp_pair")
+    assert [stats[f"vertexcore.{name}"] for name in engine] == [0] * 3
