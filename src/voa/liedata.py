@@ -12,7 +12,6 @@ plus finite elements for disconnected groups such as O(n).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
@@ -61,17 +60,14 @@ class LieSpec:
 
     @functools.cached_property
     def free_field(self):
-        """``(form, den)`` for an abelian spec, None otherwise.
+        """B as ``exact_tables`` holds it for an abelian spec, None otherwise.
 
-        ``form`` is den * B as a tuple of integer rows, over the least common
-        denominator ``den`` of B's entries.  The vertex engine takes
-        Wick's closed form for circle products when this is not None; it is
-        decided once per spec.
+        The vertex engine takes Wick's closed form for circle products when
+        this is not None; it is decided once per spec.
         """
         if any(c for row in self.structure for vec in row for c in vec):
             return None
-        den = math.lcm(*(b.denominator for row in self.form for b in row))
-        return tuple(tuple(int(b * den) for b in row) for row in self.form), den
+        return self.exact_tables[1]
 
     @functools.cached_property
     def exact_tables(self):
@@ -217,62 +213,23 @@ def orthogonal_action(n: int) -> ActionSpec:
 # -- validation ----------------------------------------------------------------
 
 
-def validate(spec: LieSpec) -> ValidationReport:
-    """Check antisymmetry, Jacobi, form symmetry, invariance, nondegeneracy."""
-    n = spec.dim
-    c = spec.structure
-    rep = ValidationReport()
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                if c[i][j][l] != -c[j][i][l]:
-                    rep.add("antisymmetry", (i, j, l))
-    nz = spec.exact_tables[0]  # the identity sums run over nonzero constants
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                # [xi_i, [xi_j, xi_l]] + cyclic, per output coordinate m
-                s = {}
-                for a, b, d in ((j, l, i), (l, i, j), (i, j, l)):
-                    for p, v in nz[a][b]:
-                        for m, w in nz[d][p]:
-                            s[m] = s.get(m, 0) + v * w
-                for m in sorted(s):
-                    if s[m] != 0:
-                        rep.add("jacobi", (i, j, l, m))
-    for i in range(n):
-        for j in range(n):
-            if spec.form[i][j] != spec.form[j][i]:
-                rep.add("form_symmetry", (i, j))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                # B([xi_i, xi_j], xi_l) + B(xi_j, [xi_i, xi_l]) = 0
-                s = sum(v * spec.form[p][l] for p, v in nz[i][j])
-                s += sum(v * spec.form[j][p] for p, v in nz[i][l])
-                if s != 0:
-                    rep.add("form_invariance", (i, j, l))
-    if linalg.rank([dict(enumerate(row)) for row in spec.form]) != n:
-        rep.add("form_nondegenerate", ())
-    return rep
+def _columns(M) -> list:
+    """Column g of the square rational matrix M as its nonzero (j, M[j][g]) pairs."""
+    n = len(M)
+    return [[(j, _exact(M[j][g])) for j in range(n) if M[j][g]] for g in range(n)]
 
 
-def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
-    """Check derivation/skew laws for lie generators and preservation for finite elements."""
+def _derivation_laws(spec: LieSpec, generators):
+    """(kind, witness) for each failure of a matrix rho in generators, in index order:
+    "derivation" (gi, a, b, i) where coordinate i of rho[a, b] - [rho a, b] - [a, rho b]
+    is nonzero, and "skew" (gi, a, b) where B(rho a, b) + B(a, rho b) != 0."""
     n = spec.dim
     B = spec.form
-    rep = ValidationReport()
     nz = spec.exact_tables[0]  # the identity sums run over nonzero constants
-
-    def columns(m):
-        """The nonzero entries of each column of m, as (row, entry) pairs."""
-        return [[(p, m[p][a]) for p in range(n) if m[p][a]] for a in range(n)]
-
-    for gi, rho in enumerate(action.lie_generators):
-        col = columns(rho)
+    for gi, rho in enumerate(generators):
+        col = _columns(rho)
         for a in range(n):
             for b in range(n):
-                # rho[a, b] - [rho a, b] - [a, rho b], per output coordinate i
                 s = {}
                 for l, v in nz[a][b]:
                     for i, r in col[l]:
@@ -285,13 +242,49 @@ def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
                         s[i] = s.get(i, 0) - r * v
                 for i in sorted(s):
                     if s[i] != 0:
-                        rep.add("derivation", (gi, a, b, i))
+                        yield "derivation", (gi, a, b, i)
                 t = sum(r * B[p][b] for p, r in col[a])
                 t += sum(r * B[a][p] for p, r in col[b])
                 if t != 0:
-                    rep.add("skew", (gi, a, b))
+                    yield "skew", (gi, a, b)
+
+
+def validate(spec: LieSpec) -> ValidationReport:
+    """Check antisymmetry, Jacobi, form symmetry, invariance, nondegeneracy.
+
+    Jacobi and invariance say that each ad_i is a derivation, skew for B; for
+    antisymmetric brackets, which ``build_spec`` makes, these laws' witnesses
+    are those of the cyclic Jacobi sums and of B([i,j],l) + B(j,[i,l]).
+    """
+    n = spec.dim
+    c = spec.structure
+    rep = ValidationReport()
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                if c[i][j][l] != -c[j][i][l]:
+                    rep.add("antisymmetry", (i, j, l))
+    laws = list(_derivation_laws(spec, adjoint_action(spec).lie_generators))
+    rep.failures += [("jacobi", w) for kind, w in laws if kind == "derivation"]
+    for i in range(n):
+        for j in range(n):
+            if spec.form[i][j] != spec.form[j][i]:
+                rep.add("form_symmetry", (i, j))
+    rep.failures += [("form_invariance", w) for kind, w in laws if kind == "skew"]
+    if linalg.rank([dict(enumerate(row)) for row in spec.form]) != n:
+        rep.add("form_nondegenerate", ())
+    return rep
+
+
+def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
+    """Check derivation/skew laws for lie generators and preservation for finite elements."""
+    n = spec.dim
+    B = spec.form
+    rep = ValidationReport()
+    rep.failures += _derivation_laws(spec, action.lie_generators)
+    nz = spec.exact_tables[0]
     for mi, M in enumerate(action.finite_elements):
-        col = columns(M)
+        col = _columns(M)
         for a in range(n):
             for b in range(n):
                 # M[a, b] - [M a, M b], per output coordinate i
@@ -339,67 +332,78 @@ Algebra config format (key-value text):
 
 
 def parse_config(text: str, name: str = "config"):
-    """Parse the key-value algebra document; returns (LieSpec, ActionSpec or None)."""
+    """Parse the key-value algebra document; returns (LieSpec, ActionSpec or None).
+
+    A malformed line raises ValueError naming its number and text.
+    """
     section = None
     dim = None
     labels = None
-    brackets = {}
-    form = {}
-    blocks = []  # (kind, rows)
+    tables = {"brackets": {}, "form": {}}
+    at = {}  # "labels" or (section, key) -> the line that gave it
+    blocks = []  # (kind, rows, the line that opened the block)
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            continue
-        if section == "algebra":
-            key, _, val = line.partition("=")
-            key = key.strip().lower()
-            if key == "dim":
-                dim = int(val)
-            elif key == "labels":
-                labels = val.split()
-            else:
-                raise ValueError(f"unknown [algebra] key {key!r}")
-        elif section in ("brackets", "form"):
-            lhs, _, val = line.partition("=")
-            table, width = (brackets, 3) if section == "brackets" else (form, 2)
-            key = tuple(int(t) for t in lhs.split())
-            if len(key) != width:
-                raise ValueError(f"[{section}] needs {width} indices, line {number}: {raw!r}")
-            if key in table:
-                shown = " ".join(map(str, key))
-                raise ValueError(f"repeated [{section}] key {shown}, line {number}: {raw!r}")
-            table[key] = Fraction(val.strip())
-        elif section == "action":
-            if line.lower() in ("lie", "finite"):
-                blocks.append((line.lower(), []))
-            else:
-                if not blocks:
+        where = f"line {number}: {raw!r}"
+        try:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+            elif section == "algebra":
+                key, _, val = line.partition("=")
+                key = key.strip().lower()
+                if key == "dim":
+                    dim = int(val)
+                    if dim < 0:
+                        raise ValueError(f"negative dim {dim}")
+                elif key == "labels":
+                    labels = val.split()
+                    at["labels"] = where
+                else:
+                    raise ValueError(f"unknown [algebra] key {key!r}")
+            elif section in tables:
+                lhs, eq, val = line.partition("=")
+                table, width = tables[section], 3 if section == "brackets" else 2
+                key = tuple(int(t) for t in lhs.split())
+                if len(key) != width or not eq:
+                    raise ValueError(f"[{section}] needs {width} indices and '= value'")
+                if key in table:
+                    raise ValueError(f"repeated [{section}] key {' '.join(map(str, key))}")
+                table[key] = Fraction(val.strip())
+                at[section, key] = where
+            elif section == "action":
+                if line.lower() in ("lie", "finite"):
+                    blocks.append((line.lower(), [], where))
+                elif not blocks:
                     raise ValueError("[action] rows must follow a 'lie' or 'finite' line")
-                blocks[-1][1].append([Fraction(t) for t in line.split()])
-        else:
-            raise ValueError(f"line outside any known section: {raw!r}")
+                else:
+                    blocks[-1][1].append([Fraction(t) for t in line.split()])
+            else:
+                raise ValueError("line outside any known section")
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator, {where}") from None
+        except ValueError as exc:
+            raise ValueError(f"{exc}, {where}") from None
     if dim is None:
         raise ValueError("config is missing [algebra] dim")
     _check_dim(dim)  # before the O(dim) default labels
     if labels is None:
         labels = [f"g{i}" for i in range(dim)]
-    if len(labels) != dim:
-        raise ValueError("label count does not match dim")
-    for what, table in (("bracket", brackets), ("form", form)):
-        for key in table:
+    elif len(labels) != dim:
+        raise ValueError(f"label count {len(labels)} does not match dim {dim}, {at['labels']}")
+    for what, section in (("bracket", "brackets"), ("form", "form")):
+        for key in tables[section]:
             if not all(0 <= t < dim for t in key):
-                raise ValueError(f"{what} index out of range: {key}")
-    spec = build_spec(dim, labels, brackets, form, name=name)
+                raise ValueError(f"{what} index out of range: {key}, {at[section, key]}")
+    spec = build_spec(dim, labels, tables["brackets"], tables["form"], name=name)
     action = None
     if blocks:
         lie_gens = []
         finite = []
-        for kind, rows in blocks:
+        for kind, rows, where in blocks:
             if len(rows) != dim or any(len(r) != dim for r in rows):
-                raise ValueError(f"{kind} action block is not {dim}x{dim}")
+                raise ValueError(f"{kind} action block is not {dim}x{dim}, {where}")
             (lie_gens if kind == "lie" else finite).append(mat(rows))
         action = ActionSpec(tuple(lie_gens), tuple(finite), label=f"{name}-action")
     return spec, action

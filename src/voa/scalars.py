@@ -12,11 +12,12 @@ Computer Algebra*, ch. 6).  Sums and products are integer work with one gcd
 reduction; ``Fraction``s appear only at the edges (``coeffs``, ``leading``,
 ``evaluate``, rendering) and inside polynomial division.
 
-Most ``LevelScalar`` products in the vertex engine have a factor that is 1 or
-an integer constant (the coefficient of a sorted word, a structure constant,
-a binomial).  Such a factor is a unit of Q(k), so the product, and ``scale``
-by an ``int``, skips the gcds and the polynomial product: it scales the other
-numerator's integers and keeps the other denominator.
+Many ``LevelScalar`` products have a factor that is 1 or an integer constant:
+a state's coefficient in ``circle_product``, ``Terms.scale`` and
+``terms.merge``, or an entry of a column in ``linalg``'s elimination.  Such a
+factor is a unit of Q(k), so the product, and ``scale`` by an ``int``, skips
+the gcds and the polynomial product: it scales the other numerator's integers
+and keeps the other denominator.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ The level k is always formal; kappa acts as multiplication by k.
 Mode conventions: a field a(z) = sum a(n) z^{-n-1}; the n-th circle product
 a o_n b is a(n)b under the state-field correspondence.  The n-th mode of
 (1/m!) d^m X^i(z) is (-1)^m binom(n, m) X^i(n-m), which drives the circle
-product recursion on the leftmost factor of a.
+product recursion on the leftmost factor of a.  Translation is a circle
+product too: by the creation property Y(a, z)|0> = e^{zD} a, a o_n |0> is a
+for n = -1 and 0 for n >= 0, and D^k a = k! a o_{-k-1} |0>.
 
 For an abelian spec (a free field: the Heisenberg algebra) a o_n b has a
 closed form by Wick's theorem (Bais, Bouwknegt, Surridge and Schoutens,
@@ -22,9 +24,10 @@ b's factors.  A contracted pair, a's X^i(-d) with b's X^j(-e), contributes
 free factor X^i(-d) of a becomes a creation factor X^i(-q), q >= d, with
 weight binom(q-1, d-1), and the free q's exceed their d's by
 -n-1 + sum over the contracted pairs of (d+e) in total, so a matching with
-a negative excess contributes nothing.  Every term is an integer times
-(k/den)^c for c contractions, with B = form/den in integers.  Whether a
-spec takes this path is decided once, by ``LieSpec.free_field``.
+a negative excess contributes nothing.  Every term is a product of
+binomials and entries of B times k^c for c contractions.  Whether a spec
+takes this path is decided once, by ``LieSpec.free_field``, which holds B
+as ``LieSpec.exact_tables`` does.
 
 The OPE coefficients of V_k(g, B) are polynomials in k with the structure
 constants, B and binomials as coefficients, so the engine computes inside
@@ -32,8 +35,8 @@ with integer maps {(monomial, p): c}, meaning sum c k^p monomial, where c is
 an int, or a Fraction only for a spec whose structure constants or form are
 not integral (``LieSpec.exact_tables``).  The cached mode actions and
 monomial products are such maps.  States keep ``LevelScalar``
-coefficients, and each public entry point (``circle_product``,
-``mode_action``, ``derivative``, ``lie_act``, ``apply_group_element``)
+coefficients, and each public entry point (``circle_product``, and through
+it ``derivative``; ``mode_action``, ``lie_act``, ``apply_group_element``)
 converts once per call: its (state coefficient, integer map) pairs are
 grouped by the coefficient's denominator polynomial, summed in integers over
 one common integer denominator per group, and each output monomial's scalar
@@ -52,7 +55,7 @@ import math
 from fractions import Fraction
 from math import lcm
 
-from .liedata import LieSpec, _exact
+from .liedata import LieSpec, _columns
 from .scalars import K, ONE, ZERO, LevelPolynomial, LevelScalar, _mkpoly, _mkscalar, _P_ONE
 from .terms import Terms, merge
 
@@ -138,7 +141,7 @@ def degree(a: State) -> int:
 #
 # The engine's values are integer maps {(mono, p): c}, meaning sum c k^p mono
 # (module docstring): _mode_mono, _cp_pair, _cp_free and _cp_mono return them,
-# the walks of _derive and apply_group_element build them, and _to_state, the
+# the walks of lie_act and apply_group_element build them, and _to_state, the
 # one conversion to LevelScalars, turns a public call's (state coefficient,
 # integer map) pairs into a State once per call.  Callers only read the
 # cached maps.
@@ -148,17 +151,17 @@ def degree(a: State) -> int:
 # monomial basis met, not with the number of states seen.  LieSpec hashes by
 # identity (eq=False), so each spec object gets its own entries, and the
 # caches hold every spec they have seen until voa.clear_caches().  On a miss
-# for an abelian spec (spec.free_field is not None, decided once per spec)
-# _cp_pair returns Wick's closed form, _cp_free: a sum over the partial
-# matchings of a's factors into b's factors, each term an integer times
-# (k/den)^c for c contractions (module docstring).  It makes no sub-products,
-# so only the pairs asked for are cached; every other spec takes the recursion
-# on a's leftmost factor, which caches its sub-products too.  _mode_mono
-# caches its trivial cases too (a mode on the vacuum, a creation mode already
-# in front of the monomial): answered before the cache, each call built a
-# fresh prepended tuple that the cached products no longer shared, and the
-# engine benchmark's peak RSS rose by 7 %.  _cp_mono answers the empty left
-# monomial before the cache, which keeps it out.
+# for an abelian spec (spec.free_field is not None) _cp_pair returns Wick's
+# closed form, _cp_free, which makes no sub-products, so only the pairs asked
+# for are cached; every other spec takes the recursion on a's leftmost factor,
+# which caches its sub-products too.  _cp_mono answers the vacuum on either
+# side before the cache: |0> o_n b, and a o_n |0> for n >= -1 (the creation
+# property); without the latter, a derivative's recursion cached u o_p |0>
+# for every p and every right factor u of a.  _mode_mono caches its trivial
+# cases (a mode on the vacuum, a creation mode already in front of the
+# monomial): answered before the cache, each call built a fresh prepended
+# tuple that the cached products no longer shared, and the engine
+# benchmark's peak RSS rose by 7 %.
 
 
 def _imerge(acc: dict, terms: dict, c, p: int = 0):
@@ -288,14 +291,16 @@ def _binom_int(j: int, m: int) -> int:
 def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
     if not amono:
         return {(bmono, 0): 1} if n == -1 else {}
+    if not bmono and n >= -1:  # the creation property
+        return {(amono, 0): 1} if n == -1 else {}
     return _cp_pair(spec, amono, n, bmono)
 
 
 @functools.lru_cache(maxsize=None)
 def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
-    free = spec.free_field
-    if free is not None:
-        return _cp_free(free, amono, n, bmono)
+    form = spec.free_field
+    if form is not None:
+        return _cp_free(form, amono, n, bmono)
     (i, d), u = amono[0], amono[1:]
     m = d - 1
     wu = mono_weight(u)
@@ -319,17 +324,17 @@ def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
     return acc
 
 
-def _cp_free(free, amono: Mono, n: int, bmono: Mono) -> dict:
-    """amono o_n bmono for an abelian spec by Wick's theorem (module docstring).
+def _cp_free(form, amono: Mono, n: int, bmono: Mono) -> dict:
+    """amono o_n bmono for an abelian spec with form B by Wick's theorem
+    (module docstring).
 
     b's factors are matched by distinct factor, weighted by multiplicity.
     """
-    form, den = free
     left = {}  # b's unmatched factors and their multiplicities
     for f in bmono:
         left[f] = left.get(f, 0) + 1
     top = min(len(amono), len(bmono))  # the most contractions a term can have
-    acc = {}  # monomial -> integer coefficient of (k/den)^c at index c
+    acc = {}  # monomial -> coefficient of k^c at index c
     unmatched = []  # a's free factors
 
     def spread(t, excess, coef, c, factors):
@@ -365,12 +370,7 @@ def _cp_free(free, amono: Mono, n: int, bmono: Mono) -> dict:
                 left[j, e] = mult
 
     match(0, 1, 0, -n - 1)
-    return {
-        (mono, c): v if den == 1 else Fraction(v, den**c)
-        for mono, ints in acc.items()
-        for c, v in enumerate(ints)
-        if v
-    }
+    return {(mono, c): v for mono, coefs in acc.items() for c, v in enumerate(coefs) if v}
 
 
 def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
@@ -404,38 +404,15 @@ def wick_chain(spec: LieSpec, states) -> State:
     return out
 
 
-def _derive(spec: LieSpec, a: State, image) -> State:
-    """The derivation sending each factor X^g(-d) to the creation modes
-    image(g, d), a list of (j, depth, coefficient) with exact rational
-    coefficients.
-
-    Each monomial is walked from the right by
-    D(X^g(-d) rest) = D(X^g(-d)) rest + X^g(-d) D(rest), as an integer map.
-    """
-    pairs = []
-    for mono, c in a.terms.items():
-        out = {}
-        for t in range(len(mono) - 1, -1, -1):
-            (g, d), rest = mono[t], mono[t + 1:]
-            new = {}
-            for j, e, cj in image(g, d):
-                _imerge(new, _mode_mono(spec, j, -e, rest), cj)
-            for (m2, q), c2 in out.items():
-                _imerge(new, _mode_mono(spec, g, -d, m2), c2, q)
-            out = new
-        pairs.append((c, out))
-    return _to_state(pairs)
-
-
 def derivative(spec: LieSpec, a: State) -> State:
-    """Translation derivative: D X^g(-d) = d X^g(-d-1), extended as a derivation."""
-    return _derive(spec, a, lambda g, d: ((g, d + 1, d),))
+    """Translation derivative D a = a o_{-2} |0>, by the creation property
+    Y(a, z)|0> = e^{zD} a."""
+    return circle_product(spec, a, -2, State.vacuum())
 
 
 def nth_derivative(spec: LieSpec, a: State, k: int) -> State:
-    for _ in range(k):
-        a = derivative(spec, a)
-    return a
+    """D^k a = k! a o_{-k-1} |0>."""
+    return circle_product(spec, a, -k - 1, State.vacuum(math.factorial(k)))
 
 
 def ope(spec: LieSpec, a: State, b: State):
@@ -507,15 +484,25 @@ def apply_group_element(spec: LieSpec, M, a: State) -> State:
 
 
 def lie_act(spec: LieSpec, rho, a: State) -> State:
-    """Infinitesimal action: X^g(-d) goes to sum_j rho[j][g] X^j(-d), as a derivation."""
+    """Infinitesimal action: X^g(-d) goes to sum_j rho[j][g] X^j(-d), as a derivation.
+
+    Each monomial is walked from the right by
+    rho(X^g(-d) rest) = rho(X^g(-d)) rest + X^g(-d) rho(rest), as an integer map.
+    """
     images = _columns(rho)
-    return _derive(spec, a, lambda g, d: [(j, d, cj) for j, cj in images[g]])
-
-
-def _columns(M) -> list:
-    """Column g of the square rational matrix M as its nonzero (j, M[j][g]) pairs."""
-    n = len(M)
-    return [[(j, _exact(M[j][g])) for j in range(n) if M[j][g]] for g in range(n)]
+    pairs = []
+    for mono, c in a.terms.items():
+        out = {}
+        for t in range(len(mono) - 1, -1, -1):
+            (g, d), rest = mono[t], mono[t + 1:]
+            new = {}
+            for j, cj in images[g]:
+                _imerge(new, _mode_mono(spec, j, -d, rest), cj)
+            for (m2, q), c2 in out.items():
+                _imerge(new, _mode_mono(spec, g, -d, m2), c2, q)
+            out = new
+        pairs.append((c, out))
+    return _to_state(pairs)
 
 
 # -- rendering and serialization ----------------------------------------------

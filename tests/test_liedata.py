@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 import time
@@ -143,6 +145,61 @@ def test_validate_action_matches_dense_sums(spec):
         assert validate_action(spec, action).failures == _dense_validate_action(spec, action)
 
 
+def _dense_validate(spec):
+    """The failures of validate, by the defining sums over all indices."""
+    n, c, B = spec.dim, spec.structure, spec.form
+    idx = range(n)
+    failures = [("antisymmetry", (i, j, l)) for i, j, l in itertools.product(idx, repeat=3)
+                if c[i][j][l] != -c[j][i][l]]
+    for i, j, l, m in itertools.product(idx, repeat=4):
+        # [xi_i, [xi_j, xi_l]] + [xi_j, [xi_l, xi_i]] + [xi_l, [xi_i, xi_j]]
+        s = sum(c[j][l][p] * c[i][p][m] + c[l][i][p] * c[j][p][m] + c[i][j][p] * c[l][p][m]
+                for p in idx)
+        if s != 0:
+            failures.append(("jacobi", (i, j, l, m)))
+    failures += [("form_symmetry", (i, j)) for i, j in itertools.product(idx, repeat=2)
+                 if B[i][j] != B[j][i]]
+    for i, j, l in itertools.product(idx, repeat=3):
+        # B([xi_i, xi_j], xi_l) + B(xi_j, [xi_i, xi_l])
+        if sum(c[i][j][p] * B[p][l] + c[i][l][p] * B[j][p] for p in idx) != 0:
+            failures.append(("form_invariance", (i, j, l)))
+    det = 0
+    for perm in itertools.permutations(idx):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(idx, 2))
+        det += (-1) ** inversions * math.prod(B[i][perm[i]] for i in idx)
+    if det == 0:
+        failures.append(("form_nondegenerate", ()))
+    return failures
+
+
+def _random_spec(rng):
+    """A random algebra of dim 2-4: sparse brackets and form, mostly not Lie."""
+    n = rng.randint(2, 4)
+    values = [1, -1, 2, Fraction(1, 2)]
+    brackets = {(i, j, l): rng.choice(values)
+                for i, j in itertools.combinations(range(n), 2)
+                for l in range(n) if rng.random() < 0.3}
+    form = {(i, j): rng.choice(values)
+            for i in range(n) for j in range(i, n) if rng.random() < 0.5}
+    return build_spec(n, [f"g{i}" for i in range(n)], brackets, form)
+
+
+def test_validate_matches_dense_sums():
+    rng = random.Random(5)
+    sl2_generic_form = build_spec(3, ["x", "y", "h"], {(0, 1, 2): 1, (2, 0, 0): 2, (2, 1, 1): -2},
+                                  {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+    specs = [abelian(3), sl2_spec(), sl2_generic_form] + [_random_spec(rng) for _ in range(30)]
+    kinds = set()
+    for spec in specs:
+        failures = validate(spec).failures
+        assert failures == _dense_validate(spec)
+        kinds |= {kind for kind, _ in failures}
+    # the set exercises every identity the brackets and form can fail
+    assert {"jacobi", "form_invariance", "form_nondegenerate"} <= kinds
+    assert not validate(specs[0]).failures and not validate(specs[1]).failures
+    assert {kind for kind, _ in validate(sl2_generic_form).failures} == {"form_invariance"}
+
+
 def test_validate_action_is_sparse():
     # the dense sums took about 23 s on this pair
     start = time.perf_counter()
@@ -192,19 +249,35 @@ def test_parse_config_matches_builtin():
     assert validate_action(spec, action).ok
 
 
+MISSING_DIM = "[algebra]\nlabels = a b\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
-        "[algebra]\nlabels = a b\n",  # missing dim
+        MISSING_DIM,
         "[algebra]\ndim = 2\nlabels = a\n",  # label count mismatch
         "[algebra]\ndim = 2\n[brackets]\n0 1 5 = 1\n",  # index out of range
         "[algebra]\ndim = 2\n[action]\n1 0\n",  # row before block kind
         "[algebra]\ndim = 2\n[form]\n0 1 1 = 1\n",  # three indices for a form entry
+        "[algebra]\ndim = two\n",  # dim not an integer
+        "[algebra]\ndim = -1\n",  # negative dim
+        "[algebra]\ndim = 1\nrank = 1\n",  # unknown [algebra] key
+        "[algebra]\ndim = 2\n[form]\n0 0 = 1/0\n",  # zero denominator
+        "[algebra]\ndim = 2\n[form]\n0 0\n",  # no '= value'
+        "[algebra]\ndim = 2\n[brackets]\n0 1 x = 1\n",  # index not an integer
+        "[algebra]\ndim = 1\n[action]\nlie\n1/0\n",  # zero denominator in a row
+        "[algebra]\ndim = 2\n[action]\nlie\n",  # block is not 2x2
+        "dim = 2\n",  # outside any section
     ],
 )
 def test_parse_config_errors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         parse_config(text)
+    if text != MISSING_DIM:
+        # the last line is the malformed one, and the message names it
+        last = text.splitlines()[-1]
+        assert f"line {len(text.splitlines())}: {last!r}" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(

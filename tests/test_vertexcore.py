@@ -182,12 +182,13 @@ def test_rational_sl2_basis_is_valid():
 )
 def test_derivations_and_group_actions_match_word_expansions(spec, rhos, mats):
     rng = random.Random(29)
-    for _ in range(12):
-        a = _random_state(rng, spec, 5)
+    states = [_random_state(rng, spec, 5) for _ in range(12)]
+    states.append(states[0] + State.vacuum(K))
+    for a in states:
         expected = a
-        for n in range(1, 4):
-            expected = _reference_derivative(spec, expected)
+        for n in range(6):
             assert vc.nth_derivative(spec, a, n) == expected
+            expected = _reference_derivative(spec, expected)
         for rho in rhos:
             assert vc.lie_act(spec, rho, a) == _reference_lie_act(spec, rho, a)
         for M in mats:
@@ -524,10 +525,15 @@ def test_circle_product_matches_whole_state_recursion(spec):
     from voa import verify
 
     rng = random.Random(7)
+    vacuum = State.vacuum()
     for _ in range(15):
         a, b = verify.random_state(rng, spec, 5), verify.random_state(rng, spec, 5)
         for n in range(-3, 6):
             assert vc.circle_product(spec, a, n, b) == _reference_circle_product(spec, a, n, b)
+        # the vacuum as either factor: a o_n |0> is the creation property
+        for n in range(-4, 4):
+            for x, y in ((a, vacuum), (vacuum, b)):
+                assert vc.circle_product(spec, x, n, y) == _reference_circle_product(spec, x, n, y)
 
 
 def test_circle_product_caches_monomial_pairs_only():
@@ -578,14 +584,16 @@ def test_free_field_monomial_products_match_whole_state_recursion(spec):
 
 def test_only_abelian_specs_take_the_free_field_branch(monkeypatch):
     assert SL2.free_field is None
-    assert H2.free_field == (((1, 0), (0, 1)), 1)
-    assert RATIONAL_FORM.free_field == (((-2, 9), (9, 0)), 6)
+    assert H2.free_field == ((1, 0), (0, 1))
+    assert RATIONAL_FORM.free_field == (
+        (Fraction(-1, 3), Fraction(3, 2)), (Fraction(3, 2), 0)
+    )
     taken = []
     real = vc._cp_free
 
-    def spy(free, amono, n, bmono):
-        taken.append(free)
-        return real(free, amono, n, bmono)
+    def spy(form, amono, n, bmono):
+        taken.append(form)
+        return real(form, amono, n, bmono)
 
     monkeypatch.setattr(vc, "_cp_free", spy)
     vc._cp_pair.cache_clear()
