@@ -22,7 +22,11 @@ from .vertexcore import State
 
 def _check_weight(quantity: str, weight: int):
     """The VOA_MAX_WEIGHT budget (default 12) of the state-space commands."""
-    cap = int(os.environ.get("VOA_MAX_WEIGHT", "12"))
+    raw = os.environ.get("VOA_MAX_WEIGHT", "12")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"VOA_MAX_WEIGHT={raw!r} is not an integer") from None
     check_budget(quantity, weight, cap, "raise VOA_MAX_WEIGHT")
 
 
@@ -120,11 +124,10 @@ def cmd_circle(args) -> int:
 def cmd_sugawara_check(args) -> int:
     spec, _ = load_algebra(args.algebra)
     if args.hdual is None:
-        if spec.name not in liedata.DUAL_COXETER:
-            raise ValueError(
-                f"no built-in dual Coxeter number for {spec.name}; pass --hdual"
-            )
-        h_dual = liedata.DUAL_COXETER[spec.name]
+        # a config file's spec is named after the file, so look up the argument
+        if args.algebra not in liedata.DUAL_COXETER:
+            raise ValueError(f"no built-in dual Coxeter number for {args.algebra}; pass --hdual")
+        h_dual = liedata.DUAL_COXETER[args.algebra]
     else:
         h_dual = Fraction(args.hdual)
     res = vf.suite_sugawara(spec, h_dual)

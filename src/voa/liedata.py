@@ -2,11 +2,11 @@
 
 Conventions
 -----------
-Generators are indexed 0..n-1.  Brackets are stored densely as structure
-constants c[i][j][l] with [xi_i, xi_j] = sum_l c[i][j][l] xi_l.  A matrix M
-acts on the generator space by xi_j |-> sum_i M[i][j] xi_i (columns are
-images).  Group actions are given infinitesimally by Lie-algebra matrices,
-plus finite elements for disconnected groups such as O(n).
+Generators are indexed 0..n-1.  Brackets are stored sparsely: brackets[i][j]
+lists the nonzero structure constants (l, c) with [xi_i, xi_j] = sum c xi_l.
+A matrix M acts on the generator space by xi_j |-> sum_i M[i][j] xi_i
+(columns are images).  Group actions are given infinitesimally by Lie-algebra
+matrices, plus finite elements for disconnected groups such as O(n).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ Matrix = tuple  # tuple of tuples of Fraction
 #: dual Coxeter numbers for the built-in simple algebras
 DUAL_COXETER = {"sl2": Fraction(2)}
 
-#: largest algebra dimension: a spec holds a dense dim^3 bracket table
+#: largest algebra dimension: the validators' identity sums and the adjoint
+#: matrices grow as dim^3
 MAX_DIM = 64
 
 
@@ -43,13 +44,17 @@ def _exact(c):
 class LieSpec:
     """A Lie algebra with a symmetric invariant bilinear form.
 
+    ``brackets[i][j]`` is the tuple of nonzero ``(l, c)``, l ascending, with
+    [xi_i, xi_j] = sum c xi_l, and ``form[i][j]`` is B(i, j).  Every entry is
+    ``_exact``: an ``int`` where it is integral, so the vertex engine's caches
+    hold integers on an integral spec, and a ``Fraction`` only where it is not.
     Equality is object identity; specs are built once and shared.
     """
 
     dim: int
     labels: tuple
-    structure: tuple  # structure[i][j] is the coefficient tuple of [xi_i, xi_j]
-    form: Matrix
+    brackets: tuple
+    form: tuple
     name: str = "lie"
 
     def index(self, label: str) -> int:
@@ -60,30 +65,12 @@ class LieSpec:
 
     @functools.cached_property
     def free_field(self):
-        """B as ``exact_tables`` holds it for an abelian spec, None otherwise.
+        """B for an abelian spec, None otherwise.
 
         The vertex engine takes Wick's closed form for circle products when
         this is not None; it is decided once per spec.
         """
-        if any(c for row in self.structure for vec in row for c in vec):
-            return None
-        return self.exact_tables[1]
-
-    @functools.cached_property
-    def exact_tables(self):
-        """``(brackets, form)``: the vertex engine's view of the structure and the form.
-
-        ``brackets[i][j]`` lists the nonzero ``(l, c)`` with [xi_i, xi_j] =
-        sum c xi_l, and ``form[i][j]`` is B(i, j).  Every entry is ``_exact``:
-        an ``int`` where it is integral, so the engine's caches hold integers
-        on an integral spec, and a ``Fraction`` only where it is not.  The
-        validators' identity sums run over ``brackets`` too.
-        """
-        brackets = tuple(
-            tuple(tuple((l, _exact(c)) for l, c in enumerate(vec) if c) for vec in row)
-            for row in self.structure
-        )
-        return brackets, tuple(tuple(_exact(b) for b in row) for row in self.form)
+        return None if any(any(row) for row in self.brackets) else self.form
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +99,6 @@ class ValidationReport:
         return "\n".join(f"FAIL {kind} at {witness}" for kind, witness in self.failures)
 
 
-def _structure_from_dict(n, entries) -> tuple:
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, l), v in entries.items():
-        c[i][j][l] = Fraction(v)
-    return tuple(tuple(tuple(vec) for vec in row) for row in c)
-
-
 def _check_dim(dim: int):
     """Raise ResourceError when dim exceeds MAX_DIM."""
     check_budget("algebra dim", dim, MAX_DIM)
@@ -139,14 +119,18 @@ def build_spec(dim, labels, bracket_entries, form_entries, name="lie") -> LieSpe
     """Assemble a LieSpec from sparse entries, completing antisymmetry/symmetry."""
     _check_dim(dim)
     entries = _complete(bracket_entries, "bracket entry c", lambda k, v: ((k[1], k[0], k[2]), -v))
-    form = [[Fraction(0)] * dim for _ in range(dim)]
+    brackets = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, l), v in sorted(entries.items()):
+        if v:
+            brackets[i][j].append((l, _exact(v)))
+    form = [[0] * dim for _ in range(dim)]
     for (i, j), v in _complete(form_entries, "form entry B", lambda k, v: (k[::-1], v)).items():
-        form[i][j] = v
+        form[i][j] = _exact(v)
     return LieSpec(
         dim=dim,
         labels=tuple(labels),
-        structure=_structure_from_dict(dim, entries),
-        form=mat(form),
+        brackets=tuple(tuple(map(tuple, row)) for row in brackets),
+        form=tuple(map(tuple, form)),
         name=name,
     )
 
@@ -189,8 +173,11 @@ def adjoint_action(spec: LieSpec) -> ActionSpec:
     """The adjoint action: ad-matrices of the basis, no finite part."""
     n = spec.dim
     gens = []
-    for i in range(n):
-        m = [[spec.structure[i][j][l] for j in range(n)] for l in range(n)]
+    for row in spec.brackets:
+        m = [[0] * n for _ in range(n)]
+        for j, vec in enumerate(row):
+            for l, c in vec:
+                m[l][j] = c
         gens.append(mat(m))
     return ActionSpec(tuple(gens), (), label=f"adjoint({spec.name})")
 
@@ -220,14 +207,14 @@ def _columns(M) -> list:
 
 
 def _derivation_laws(spec: LieSpec, generators):
-    """(kind, witness) for each failure of a matrix rho in generators, in index order:
+    """(kind, witness) for each failure of a map rho in generators, in index order:
     "derivation" (gi, a, b, i) where coordinate i of rho[a, b] - [rho a, b] - [a, rho b]
-    is nonzero, and "skew" (gi, a, b) where B(rho a, b) + B(a, rho b) != 0."""
+    is nonzero, and "skew" (gi, a, b) where B(rho a, b) + B(a, rho b) != 0.
+    Each rho is given by its sparse columns, as ``_columns`` makes them."""
     n = spec.dim
     B = spec.form
-    nz = spec.exact_tables[0]  # the identity sums run over nonzero constants
-    for gi, rho in enumerate(generators):
-        col = _columns(rho)
+    nz = spec.brackets  # the identity sums run over nonzero constants
+    for gi, col in enumerate(generators):
         for a in range(n):
             for b in range(n):
                 s = {}
@@ -255,16 +242,17 @@ def validate(spec: LieSpec) -> ValidationReport:
     Jacobi and invariance say that each ad_i is a derivation, skew for B; for
     antisymmetric brackets, which ``build_spec`` makes, these laws' witnesses
     are those of the cyclic Jacobi sums and of B([i,j],l) + B(j,[i,l]).
+    Column j of ad_i is brackets[i][j].
     """
     n = spec.dim
-    c = spec.structure
     rep = ValidationReport()
     for i in range(n):
         for j in range(n):
-            for l in range(n):
-                if c[i][j][l] != -c[j][i][l]:
+            cij, cji = dict(spec.brackets[i][j]), dict(spec.brackets[j][i])
+            for l in sorted(cij.keys() | cji.keys()):
+                if cij.get(l, 0) != -cji.get(l, 0):
                     rep.add("antisymmetry", (i, j, l))
-    laws = list(_derivation_laws(spec, adjoint_action(spec).lie_generators))
+    laws = list(_derivation_laws(spec, spec.brackets))
     rep.failures += [("jacobi", w) for kind, w in laws if kind == "derivation"]
     for i in range(n):
         for j in range(n):
@@ -281,8 +269,8 @@ def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
     n = spec.dim
     B = spec.form
     rep = ValidationReport()
-    rep.failures += _derivation_laws(spec, action.lie_generators)
-    nz = spec.exact_tables[0]
+    rep.failures += _derivation_laws(spec, [_columns(rho) for rho in action.lie_generators])
+    nz = spec.brackets
     for mi, M in enumerate(action.finite_elements):
         col = _columns(M)
         for a in range(n):
@@ -392,6 +380,9 @@ def parse_config(text: str, name: str = "config"):
         labels = [f"g{i}" for i in range(dim)]
     elif len(labels) != dim:
         raise ValueError(f"label count {len(labels)} does not match dim {dim}, {at['labels']}")
+    for t, label in enumerate(labels):
+        if label in labels[:t]:
+            raise ValueError(f"repeated label {label!r}, {at['labels']}")
     for what, section in (("bracket", "brackets"), ("form", "form")):
         for key in tables[section]:
             if not all(0 <= t < dim for t in key):
@@ -418,11 +409,10 @@ def spec_to_json(spec: LieSpec) -> dict:
         "dim": spec.dim,
         "labels": list(spec.labels),
         "brackets": [
-            {"i": i, "j": j, "l": l, "c": rational_to_str(spec.structure[i][j][l])}
-            for i in range(spec.dim)
-            for j in range(spec.dim)
-            for l in range(spec.dim)
-            if spec.structure[i][j][l]
+            {"i": i, "j": j, "l": l, "c": rational_to_str(c)}
+            for i, row in enumerate(spec.brackets)
+            for j, vec in enumerate(row)
+            for l, c in vec
         ],
         "form": [
             {"i": i, "j": j, "b": rational_to_str(spec.form[i][j])}

@@ -26,22 +26,22 @@ weight binom(q-1, d-1), and the free q's exceed their d's by
 -n-1 + sum over the contracted pairs of (d+e) in total, so a matching with
 a negative excess contributes nothing.  Every term is a product of
 binomials and entries of B times k^c for c contractions.  Whether a spec
-takes this path is decided once, by ``LieSpec.free_field``, which holds B
-as ``LieSpec.exact_tables`` does.
+takes this path is decided once, by ``LieSpec.free_field``, which is
+``LieSpec.form`` for an abelian spec.
 
 The OPE coefficients of V_k(g, B) are polynomials in k with the structure
 constants, B and binomials as coefficients, so the engine computes inside
 with integer maps {(monomial, p): c}, meaning sum c k^p monomial, where c is
 an int, or a Fraction only for a spec whose structure constants or form are
-not integral (``LieSpec.exact_tables``).  The cached mode actions and
-monomial products are such maps.  States keep ``LevelScalar``
-coefficients, and each public entry point (``circle_product``, and through
-it ``derivative``; ``mode_action``, ``lie_act``, ``apply_group_element``)
-converts once per call: its (state coefficient, integer map) pairs are
-grouped by the coefficient's denominator polynomial, summed in integers over
-one common integer denominator per group, and each output monomial's scalar
-is built once (common denominators: von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 5-6).
+not integral (``LieSpec.brackets`` and ``LieSpec.form`` hold them so).  The
+cached mode actions and monomial products are such maps.  States keep
+``LevelScalar`` coefficients, and each public entry point
+(``circle_product``, and through it ``derivative``; ``mode_action``,
+``lie_act``, ``apply_group_element``) converts once per call: its (state
+coefficient, integer map) pairs are grouped by the coefficient's denominator
+polynomial, summed in integers over one common integer denominator per
+group, and each output monomial's scalar is built once (common denominators:
+von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5-6).
 
 Leading symbols use the normalization x_{i,j} <-> (1/j!) d^j X^i, i.e. the
 monomial factor at mode depth j+1 maps to the variable x_{i,j} with no extra
@@ -266,15 +266,14 @@ def _mode_mono(spec: LieSpec, i: int, n: int, mono: Mono) -> dict:
     if not mono or n < 0 and factor_key((i, -n)) <= factor_key(mono[0]):
         return {(((i, -n),) + mono, 0): 1} if n < 0 else {}
     (j, d), rest = mono[0], mono[1:]
-    brackets, form = spec.exact_tables
     # commute past the first factor, then bracket and central corrections
     acc = {}
     for (m2, p2), c2 in _mode_mono(spec, i, n, rest).items():
         _imerge(acc, _mode_mono(spec, j, -d, m2), c2, p2)
-    for l, cl in brackets[i][j]:
+    for l, cl in spec.brackets[i][j]:
         _imerge(acc, _mode_mono(spec, l, n - d, rest), cl)
-    if n == d and form[i][j]:
-        _imerge(acc, {(rest, 1): n * form[i][j]}, 1)
+    if n == d and spec.form[i][j]:
+        _imerge(acc, {(rest, 1): n * spec.form[i][j]}, 1)
     return acc
 
 

@@ -404,6 +404,32 @@ def test_sugawara_check_default_hdual(capsys):
     assert "error[ValueError]: no built-in dual Coxeter number for heisenberg2" in err
 
 
+def test_sugawara_check_config_named_like_a_builtin(capsys, tmp_path):
+    # a config file's spec is named after the file, so sl2.cfg's spec is "sl2"
+    cfg = tmp_path / "sl2.cfg"
+    cfg.write_text("[algebra]\ndim = 1\n[form]\n0 0 = 1\n")
+    code, out, err = run(capsys, ["sugawara-check", "--algebra", str(cfg)])
+    assert code == 2 and out == ""
+    assert f"error[ValueError]: no built-in dual Coxeter number for {cfg}; pass --hdual" in err
+    code, out, _ = run(capsys, ["sugawara-check", "--algebra", str(cfg), "--hdual", "0"])
+    assert code == 0 and "FAIL" not in out
+
+
+def test_verify_algebra_repeated_label(capsys, tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("[algebra]\ndim = 2\nlabels = a a\n[form]\n0 0 = 1\n1 1 = 1\n")
+    code, out, err = run(capsys, ["verify", "algebra", "--algebra", str(cfg)])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: repeated label 'a', line 3: 'labels = a a'" in err
+
+
+def test_invalid_max_weight_env(capsys, monkeypatch):
+    monkeypatch.setenv("VOA_MAX_WEIGHT", "abc")
+    code, out, err = run(capsys, ["circle", "--algebra", "sl2", "--n", "-1", "x", "y"])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: VOA_MAX_WEIGHT='abc' is not an integer" in err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # The CI step's --json commands, except the rank-3 remainder-direct, whose
@@ -412,7 +438,9 @@ GOLDEN = Path(__file__).parent / "golden"
 #   PYTHONPATH=src PYTHONHASHSEED=1 python -m voa.cli <argv> > tests/golden/<name>.json
 # at commit bcbf7e7, before the integer fast path in LevelScalar products;
 # decouple-j6.json at commit 0ed7d23, before Wick's closed form for abelian
-# circle products, whose deeper products it pins.
+# circle products, whose deeper products it pins; verify-algebra-*.json at
+# commit 3075a7e, before LieSpec held its brackets sparsely, with the config
+# tests/data/sl2-third.cfg (sl2 in the basis x, y, h/3).
 GOLDEN_COMMANDS = {
     "table1": ["table1", "--n-max", "6", "--json"],
     "decouple": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j4",
@@ -429,6 +457,9 @@ GOLDEN_COMMANDS = {
     "invariants-sl2": ["invariants", "--algebra", "sl2", "--action", "adjoint", "--weight", "4",
                        "--json"],
     "sugawara-check": ["sugawara-check", "--algebra", "sl2", "--json"],
+    "verify-algebra-sl2": ["verify", "algebra", "--algebra", "sl2", "--json"],
+    "verify-algebra-sl2-third": ["verify", "algebra", "--algebra",
+                                 str(Path(__file__).parent / "data" / "sl2-third.cfg"), "--json"],
 }
 
 

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import math
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from dense_reference import structure
 
 from voa import liedata
 from voa.liedata import (
@@ -21,6 +24,8 @@ from voa.liedata import (
     validate,
     validate_action,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_abelian_valid():
@@ -48,16 +53,39 @@ def test_altered_sl2_invariance_witness():
 def test_sl2_structure_and_form():
     spec = sl2_spec()
     x, y, h = 0, 1, 2
-    assert spec.structure[x][y][h] == 1
-    assert spec.structure[h][x][x] == 2
-    assert spec.structure[h][y][y] == -2
-    assert spec.form[x][y] == spec.form[y][x] == 1
-    assert spec.form[h][h] == 2
-    assert spec.form[x][x] == 0 and spec.form[x][h] == 0
+    assert spec.brackets[x][y] == ((h, 1),)
+    assert spec.brackets == (
+        ((), ((h, 1),), ((x, -2),)),
+        (((h, -1),), (), ((y, 2),)),
+        (((x, 2),), ((y, -2),), ()),
+    )
+    assert spec.form == ((0, 1, 0), (1, 0, 0), (0, 0, 2))
+    # sl2 in the basis x, y, t = h/3: a Fraction only where an entry is not integral
+    third, _ = parse_config((DATA / "sl2-third.cfg").read_text())
+    t = 2
+    assert third.brackets == (
+        ((), ((t, 3),), ((x, Fraction(-2, 3)),)),
+        (((t, -3),), (), ((y, Fraction(2, 3)),)),
+        (((x, Fraction(2, 3)),), ((y, Fraction(-2, 3)),), ()),
+    )
+    assert third.form == ((0, 1, 0), (1, 0, 0), (0, 0, Fraction(2, 9)))
+    # an integral Fraction comes back as an int, and a zero entry is dropped
+    two = build_spec(2, ["a", "b"], {(0, 1, 0): Fraction(4, 2), (0, 1, 1): 0},
+                     {(0, 1): Fraction(-3, 1)})
+    assert two.brackets == (((), ((0, 2),)), (((0, -2),), ()))
+    assert two.form == ((0, -3), (-3, 0))
+    # no zero constants; an int for each integral entry, else a Fraction
+    for spec in (spec, third, two):
+        entries = [c for row in spec.brackets for vec in row for _, c in vec]
+        assert 0 not in entries
+        entries += [b for row in spec.form for b in row]
+        assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+                   for c in entries)
 
 
 def test_abelian_form_identity():
-    assert abelian(1).form == ((Fraction(1),),)
+    assert abelian(1).form == ((1,),)
+    assert abelian(1).brackets == (((),),)
 
 
 def test_adjoint_action_sl2():
@@ -101,7 +129,7 @@ def test_orthogonal_action_rank1():
 
 def _dense_validate_action(spec, action):
     """The failures of validate_action, by the defining sums over all indices."""
-    n, c, B = spec.dim, spec.structure, spec.form
+    n, c, B = spec.dim, structure(spec), spec.form
     failures = []
     for gi, rho in enumerate(action.lie_generators):
         for a in range(n):
@@ -147,7 +175,7 @@ def test_validate_action_matches_dense_sums(spec):
 
 def _dense_validate(spec):
     """The failures of validate, by the defining sums over all indices."""
-    n, c, B = spec.dim, spec.structure, spec.form
+    n, c, B = spec.dim, structure(spec), spec.form
     idx = range(n)
     failures = [("antisymmetry", (i, j, l)) for i, j, l in itertools.product(idx, repeat=3)
                 if c[i][j][l] != -c[j][i][l]]
@@ -198,6 +226,16 @@ def test_validate_matches_dense_sums():
     assert {"jacobi", "form_invariance", "form_nondegenerate"} <= kinds
     assert not validate(specs[0]).failures and not validate(specs[1]).failures
     assert {kind for kind, _ in validate(sl2_generic_form).failures} == {"form_invariance"}
+    # brackets kept on one side of the diagonal, which build_spec never makes,
+    # fail antisymmetry at the dense sums' witnesses, in their order
+    for spec in specs[1:13]:
+        one_sided = dataclasses.replace(spec, brackets=tuple(
+            tuple(vec if i < j else () for j, vec in enumerate(row))
+            for i, row in enumerate(spec.brackets)))
+        witnesses = [f for f in validate(one_sided).failures if f[0] == "antisymmetry"]
+        assert witnesses == [f for f in _dense_validate(one_sided) if f[0] == "antisymmetry"]
+        pairs = itertools.combinations(range(spec.dim), 2)
+        assert len(witnesses) == 2 * sum(len(spec.brackets[i][j]) for i, j in pairs)
 
 
 def test_validate_action_is_sparse():
@@ -241,7 +279,7 @@ def test_parse_config_matches_builtin():
     spec, action = parse_config(SL2_CONFIG, name="sl2cfg")
     ref = sl2_spec()
     assert spec.dim == 3 and spec.labels == ("x", "y", "h")
-    assert spec.structure == ref.structure
+    assert spec.brackets == ref.brackets
     assert spec.form == ref.form
     assert validate(spec).ok
     # the three blocks are the adjoint matrices ad_x, ad_y, ad_h

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import structure
 
 from voa import classical, liedata
 from voa import vertexcore as vc
@@ -62,6 +63,7 @@ def _reference_canonicalize_word(spec, word):
     since a+b > 0.  Memoized per call on words; _word_state instead applies
     the word's modes to the vacuum through the engine's mode action.
     """
+    c = structure(spec)
     memo = {}
 
     def canon(word):
@@ -73,7 +75,7 @@ def _reference_canonicalize_word(spec, word):
             g2, d2 = word[t + 1]
             if (d1 < d2) or (d1 == d2 and g1 > g2):
                 out = canon(word[:t] + ((g2, d2), (g1, d1)) + word[t + 2:])
-                for l, cl in enumerate(spec.structure[g1][g2]):
+                for l, cl in enumerate(c[g1][g2]):
                     if cl:
                         out = out + canon(word[:t] + ((l, d1 + d2),) + word[t + 2:]).scale(cl)
                 break
