@@ -200,10 +200,14 @@ def orthogonal_action(n: int) -> ActionSpec:
 # -- validation ----------------------------------------------------------------
 
 
-def _columns(M) -> list:
-    """Column g of the square rational matrix M as its nonzero (j, M[j][g]) pairs."""
-    n = len(M)
-    return [[(j, _exact(M[j][g])) for j in range(n) if M[j][g]] for g in range(n)]
+def _columns(M, dim: int) -> tuple:
+    """Column g of the dim x dim rational matrix M as the tuple of its nonzero
+    (j, M[j][g]); ValueError when M has another shape."""
+    widths = sorted({len(row) for row in M})
+    if len(M) != dim or widths != [dim]:
+        shape = f"{len(M)}x{'/'.join(map(str, widths)) or 0}"  # "3x2/3": ragged rows
+        raise ValueError(f"action matrix of shape {shape} on an algebra of dim {dim}")
+    return tuple(tuple((j, _exact(M[j][g])) for j in range(dim) if M[j][g]) for g in range(dim))
 
 
 def _derivation_laws(spec: LieSpec, generators):
@@ -269,10 +273,10 @@ def validate_action(spec: LieSpec, action: ActionSpec) -> ValidationReport:
     n = spec.dim
     B = spec.form
     rep = ValidationReport()
-    rep.failures += _derivation_laws(spec, [_columns(rho) for rho in action.lie_generators])
+    rep.failures += _derivation_laws(spec, [_columns(rho, n) for rho in action.lie_generators])
     nz = spec.brackets
     for mi, M in enumerate(action.finite_elements):
-        col = _columns(M)
+        col = _columns(M, n)
         for a in range(n):
             for b in range(n):
                 # M[a, b] - [M a, M b], per output coordinate i

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg, vertexcore as vc
 from .classical import QSymbolPoly
 from .errors import DescentStuck, ParityError, check_budget
-from .liedata import ActionSpec, LieSpec, abelian, sl2_spec
+from .liedata import ActionSpec, LieSpec, _columns, abelian, sl2_spec
 from .scalars import ONE, ZERO, LevelScalar
 from .terms import Terms, merge, sort_sign, weighted_multisets
 from .vertexcore import State
@@ -291,18 +291,17 @@ def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
     check_budget(f"weight-{w} monomials", _count_weight_monomials(spec.dim, w),
                  INVARIANT_MAX_MONOMIALS)
     basis = _weight_monomials(spec.dim, w)
-    images = [lambda s, r=rho: vc.lie_act(spec, r, s) for rho in action.lie_generators]
-    images += [lambda s, M=M: vc.apply_group_element(spec, M, s) - s
-               for M in action.finite_elements]
-    # column j: the images of basis monomial j, keyed by (action index, monomial)
-    columns = []
-    for mono in basis:
-        unit = State({mono: 1})
-        columns.append({(a, out): c.as_fraction()
-                        for a, image in enumerate(images)
-                        for out, c in image(unit).terms.items()})
+    acts = [(_columns(rho, spec.dim), True) for rho in action.lie_generators]
+    acts += [(_columns(M, spec.dim), False) for M in action.finite_elements]
+    columns = [{} for _ in basis]  # keyed by (action index, monomial); every p is 0
+    for mono, col in zip(basis, columns):
+        for a, (images, derivation) in enumerate(acts):
+            for (out, _), c in vc._act_mono(spec, images, derivation, mono).items():
+                col[a, out] = c
+            if not derivation:  # a finite element M: the image under M - 1
+                col[a, mono] = col.get((a, mono), 0) - 1
     vecs = linalg.kernel_basis(columns, len(basis), Fraction(0), Fraction(1))
-    return [State({basis[i]: c for i, c in enumerate(v) if c}) for v in vecs]
+    return [State.wrap({basis[i]: vc.coerce_scalar(c) for i, c in enumerate(v) if c}) for v in vecs]
 
 
 # -- expressing states in generators ------------------------------------------------

@@ -327,12 +327,12 @@ def classical_graded_dimension(n: int, w: int) -> int:
 
 def suite_invariant_dims() -> SuiteResult:
     res = SuiteResult("invariant-dims")
-    spec = liedata.abelian(1)
-    action = liedata.orthogonal_action(1)
-    for w in range(0, 9):
-        quantum = len(ob.invariant_subspace(spec, action, w))
-        classic = classical_graded_dimension(1, w)
-        res.add(f"w={w}: dim {quantum}", quantum == classic, f"classical {classic}")
+    for n, top in ((1, 8), (2, 8), (3, 6), (4, 5)):
+        spec, action = liedata.abelian(n), liedata.orthogonal_action(n)
+        for w in range(0, top + 1):
+            quantum = len(ob.invariant_subspace(spec, action, w))
+            classic = classical_graded_dimension(n, w)
+            res.add(f"rank {n} w={w}: dim {quantum}", quantum == classic, f"classical {classic}")
     return res
 
 

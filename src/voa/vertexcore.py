@@ -34,8 +34,10 @@ constants, B and binomials as coefficients, so the engine computes inside
 with integer maps {(monomial, p): c}, meaning sum c k^p monomial, where c is
 an int, or a Fraction only for a spec whose structure constants or form are
 not integral (``LieSpec.brackets`` and ``LieSpec.form`` hold them so).  The
-cached mode actions and monomial products are such maps.  States keep
-``LevelScalar`` coefficients, and each public entry point
+cached mode actions and monomial products are such maps, and so are the
+images of ``_act_mono``, the one walk behind ``lie_act`` and
+``apply_group_element``, which ``orbifold.invariant_subspace`` reads as they
+are.  States keep ``LevelScalar`` coefficients, and each public entry point
 (``circle_product``, and through it ``derivative``; ``mode_action``,
 ``lie_act``, ``apply_group_element``) converts once per call: its (state
 coefficient, integer map) pairs are grouped by the coefficient's denominator
@@ -141,10 +143,10 @@ def degree(a: State) -> int:
 #
 # The engine's values are integer maps {(mono, p): c}, meaning sum c k^p mono
 # (module docstring): _mode_mono, _cp_pair, _cp_free and _cp_mono return them,
-# the walks of lie_act and apply_group_element build them, and _to_state, the
-# one conversion to LevelScalars, turns a public call's (state coefficient,
-# integer map) pairs into a State once per call.  Callers only read the
-# cached maps.
+# _act_mono, the one walk behind lie_act and apply_group_element, builds them,
+# and _to_state, the one conversion to LevelScalars, turns a public call's
+# (state coefficient, integer map) pairs into a State once per call.  Callers
+# only read the cached maps.
 #
 # _mode_mono and _cp_pair are unbounded lru_caches keyed by the spec, ints and
 # monomial tuples, never a State (State is unhashable), so they grow with the
@@ -464,22 +466,31 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     return total.scale(pref)
 
 
+def _act_mono(spec: LieSpec, images, derivation: bool, mono: Mono) -> dict:
+    """The integer map of a sorted monomial's image under X^g(-d) -> sum_j c_j
+    X^j(-d) over the (j, c_j) of images[g], walked from the right and extended
+    as a derivation (lie_act) or an automorphism (apply_group_element).
+    Creation modes carry no central term, so every p is 0."""
+    out = {} if derivation else {((), 0): 1}
+    for t, (g, d) in reversed(tuple(enumerate(mono))):
+        new = {}
+        src = {(mono[t + 1:], 0): 1} if derivation else out  # what X^g(-d)'s image acts on
+        for j, cj in images[g]:
+            for (m2, q), c2 in src.items():
+                _imerge(new, _mode_mono(spec, j, -d, m2), c2 * cj, q)
+        if derivation:  # then X^g(-d) on the image of rest
+            for (m2, q), c2 in out.items():
+                _imerge(new, _mode_mono(spec, g, -d, m2), c2, q)
+        out = new
+    return out
+
+
 def apply_group_element(spec: LieSpec, M, a: State) -> State:
     """An automorphism maps a product of modes to the product of their images:
     X^g(-d) goes to sum_j M[j][g] X^j(-d), applied to each monomial from the right.
     """
-    images = _columns(M)
-    pairs = []
-    for mono, c in a.terms.items():
-        out = {((), 0): 1}
-        for g, d in reversed(mono):
-            new = {}
-            for j, cj in images[g]:
-                for (m2, q), c2 in out.items():
-                    _imerge(new, _mode_mono(spec, j, -d, m2), c2 * cj, q)
-            out = new
-        pairs.append((c, out))
-    return _to_state(pairs)
+    images = _columns(M, spec.dim)
+    return _to_state([(c, _act_mono(spec, images, False, mono)) for mono, c in a.terms.items()])
 
 
 def lie_act(spec: LieSpec, rho, a: State) -> State:
@@ -488,20 +499,8 @@ def lie_act(spec: LieSpec, rho, a: State) -> State:
     Each monomial is walked from the right by
     rho(X^g(-d) rest) = rho(X^g(-d)) rest + X^g(-d) rho(rest), as an integer map.
     """
-    images = _columns(rho)
-    pairs = []
-    for mono, c in a.terms.items():
-        out = {}
-        for t in range(len(mono) - 1, -1, -1):
-            (g, d), rest = mono[t], mono[t + 1:]
-            new = {}
-            for j, cj in images[g]:
-                _imerge(new, _mode_mono(spec, j, -d, rest), cj)
-            for (m2, q), c2 in out.items():
-                _imerge(new, _mode_mono(spec, g, -d, m2), c2, q)
-            out = new
-        pairs.append((c, out))
-    return _to_state(pairs)
+    images = _columns(rho, spec.dim)
+    return _to_state([(c, _act_mono(spec, images, True, mono)) for mono, c in a.terms.items()])
 
 
 # -- rendering and serialization ----------------------------------------------

@@ -440,7 +440,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # decouple-j6.json at commit 0ed7d23, before Wick's closed form for abelian
 # circle products, whose deeper products it pins; verify-algebra-*.json at
 # commit 3075a7e, before LieSpec held its brackets sparsely, with the config
-# tests/data/sl2-third.cfg (sl2 in the basis x, y, h/3).
+# tests/data/sl2-third.cfg (sl2 in the basis x, y, h/3); invariants-swap.json at
+# commit e568199, before invariant_subspace read the action's integer maps
+# directly, with tests/data/heisenberg2-swap.cfg (a finite element that mixes
+# the generators, where every built-in finite element is diagonal).
 GOLDEN_COMMANDS = {
     "table1": ["table1", "--n-max", "6", "--json"],
     "decouple": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j4",
@@ -456,6 +459,9 @@ GOLDEN_COMMANDS = {
     "circle": ["circle", "--algebra", "sl2", "--n", "-1", "y", "x", "--json"],
     "invariants-sl2": ["invariants", "--algebra", "sl2", "--action", "adjoint", "--weight", "4",
                        "--json"],
+    "invariants-swap": ["invariants", "--algebra",
+                        str(Path(__file__).parent / "data" / "heisenberg2-swap.cfg"),
+                        "--action", "config", "--weight", "4", "--json"],
     "sugawara-check": ["sugawara-check", "--algebra", "sl2", "--json"],
     "verify-algebra-sl2": ["verify", "algebra", "--algebra", "sl2", "--json"],
     "verify-algebra-sl2-third": ["verify", "algebra", "--algebra",

@@ -11,6 +11,8 @@ import pytest
 from dense_reference import structure
 
 from voa import liedata
+from voa import orbifold as ob
+from voa import vertexcore as vc
 from voa.liedata import (
     ActionSpec,
     abelian,
@@ -24,6 +26,7 @@ from voa.liedata import (
     validate,
     validate_action,
 )
+from voa.vertexcore import State
 
 DATA = Path(__file__).parent / "data"
 
@@ -125,6 +128,24 @@ def test_orthogonal_action_rank1():
     act = orthogonal_action(1)
     assert act.lie_generators == ()
     assert act.finite_elements == (((-1,),),)
+
+
+@pytest.mark.parametrize("dim, n", [(3, 2), (2, 3)])
+def test_mis_shaped_action_raises_value_error(dim, n):
+    spec, action = abelian(dim), orthogonal_action(n)
+    message = rf"^action matrix of shape {n}x{n} on an algebra of dim {dim}$"
+    with pytest.raises(ValueError, match=message):
+        validate_action(spec, action)
+    with pytest.raises(ValueError, match=message):
+        ob.invariant_subspace(spec, action, 2)
+    M = action.finite_elements[0]
+    with pytest.raises(ValueError, match=message):
+        vc.lie_act(spec, M, State.generator(0))
+    with pytest.raises(ValueError, match=message):
+        vc.apply_group_element(spec, M, State.generator(0))
+    ragged = ActionSpec((), (((1, 0), (1,)),))
+    with pytest.raises(ValueError, match=r"^action matrix of shape 2x1/2 on an algebra of dim 2$"):
+        validate_action(abelian(2), ragged)
 
 
 def _dense_validate_action(spec, action):

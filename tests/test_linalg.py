@@ -244,7 +244,8 @@ def test_factor_edge_cases():
 
 def reference_eliminate(columns):
     """``linalg._eliminate`` as it was before its column -> rows index: each
-    pivot step scans every live row for the pivot and visits every row."""
+    pivot step scans every live row for the pivot and visits every row.  An
+    ``int`` pivot is made a ``Fraction``, as there, so nothing becomes a float."""
     rows, index = [], {}
     for j, col in enumerate(columns):
         for coord, v in col.items():
@@ -262,6 +263,8 @@ def reference_eliminate(columns):
             continue
         live.remove(p)
         piv = rows[p][c]
+        if type(piv) is int:
+            piv = Fraction(piv)
         prow = rows[p] = {j: v / piv for j, v in rows[p].items()}
         ops = []
         for i, row in enumerate(rows):

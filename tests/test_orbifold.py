@@ -10,7 +10,7 @@ from voa import liedata, linalg, orbifold as ob
 from voa import vertexcore as vc
 from voa.classical import det_relation
 from voa.errors import DescentStuck, ParityError, ResourceError
-from voa.scalars import K, ONE
+from voa.scalars import K, ONE, LevelScalar
 from voa.vertexcore import State
 
 H1 = liedata.abelian(1)
@@ -33,6 +33,27 @@ def test_invariant_subspace_examples():
     basis3 = ob.invariant_subspace(H1, O1, 3)
     assert basis3 == [st(((0, 2), (0, 1)))]
     assert ob.invariant_subspace(SL2, AD, 1) == []
+
+
+def test_invariant_subspace_builds_no_states_on_the_way(monkeypatch):
+    # its columns come from the action's integer maps, with no scalar round trip
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(vc, "_to_state", counted("_to_state", vc._to_state))
+    monkeypatch.setattr(State, "__init__", counted("State", State.__init__))
+    monkeypatch.setattr(LevelScalar, "as_fraction",
+                        counted("as_fraction", LevelScalar.as_fraction))
+    dims = [len(ob.invariant_subspace(spec, action, 4))
+            for spec, action in ((H1, O1), (H2, O2), (SL2, AD))]
+    assert dims == [3, 3, 3] and calls == []
+    vc.lie_act(SL2, AD.lie_generators[0], State.generator(0))
+    assert "_to_state" in calls
 
 
 def test_invariant_subspace_closed_under_circle_products():

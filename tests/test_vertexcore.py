@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from dense_reference import structure
 
-from voa import classical, liedata
+from voa import classical, liedata, orbifold
 from voa import vertexcore as vc
 from voa.classical import ClassicalPoly
 from voa.scalars import K, ONE, LevelScalar
@@ -195,6 +195,28 @@ def test_derivations_and_group_actions_match_word_expansions(spec, rhos, mats):
             assert vc.lie_act(spec, rho, a) == _reference_lie_act(spec, rho, a)
         for M in mats:
             assert vc.apply_group_element(spec, M, a) == _reference_apply_group_element(spec, M, a)
+
+
+@pytest.mark.parametrize(
+    "spec, action",
+    [
+        (SL2, liedata.ActionSpec(liedata.adjoint_action(SL2).lie_generators, (_CHEVALLEY,))),
+        (H3, liedata.orthogonal_action(3)),
+    ],
+    ids=["sl2-adjoint", "heisenberg3-orthogonal"],
+)
+def test_action_images_are_free_of_the_level(spec, action):
+    # only creation modes act, so no central term fires and every image has p = 0
+    acts = [(liedata._columns(rho, spec.dim), True) for rho in action.lie_generators]
+    acts += [(liedata._columns(M, spec.dim), False) for M in action.finite_elements]
+    terms = 0
+    for w in range(6):
+        for mono in orbifold._weight_monomials(spec.dim, w):
+            for images, derivation in acts:
+                image = vc._act_mono(spec, images, derivation, mono)
+                assert all(p == 0 for _, p in image), (mono, image)
+                terms += len(image)
+    assert terms > 1000
 
 
 # -- circle products -------------------------------------------------------------
