@@ -34,8 +34,7 @@ def _product(self, other):
     out = {}
     for k1, c1 in self.terms.items():
         # k1 * k2 is distinct for distinct k2: no collisions
-        row = {tuple(sorted(k1 + k2)): c2 for k2, c2 in other.terms.items()}
-        merge(out, row, c1)
+        merge(out, {tuple(sorted(k1 + k2)): c1 * c2 for k2, c2 in other.terms.items()})
     return self.wrap(out)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
 from .errors import check_budget
+from .scalars import _rational
 
 Matrix = tuple  # tuple of tuples of Fraction
 
@@ -28,15 +29,16 @@ MAX_DIM = 64
 
 
 def mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(_rational(x) for x in row) for row in rows)
 
 
 def _exact(c):
     """The exact rational c: an int as it is, anything else as a Fraction,
-    which comes back as its numerator, an int, when it is integral."""
+    which comes back as its numerator, an int, when it is integral.  A float
+    raises TypeError."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    c = _rational(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -108,7 +110,7 @@ def _complete(entries, what, mirror) -> dict:
     """Sparse entries with their mirror images added; a conflict raises ValueError."""
     out = {}
     for key, v in entries.items():
-        v = Fraction(v)
+        v = _rational(v)
         for k2, val in ((key, v), mirror(key, v)):
             if out.setdefault(k2, val) != val:
                 raise ValueError(f"inconsistent {what}{k2}")

@@ -11,15 +11,16 @@ remainder coefficient.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, vertexcore as vc
-from .classical import QSymbolPoly
+from .classical import ClassicalPoly, QSymbolPoly, det_relation
 from .errors import DescentStuck, ParityError, check_budget
 from .liedata import ActionSpec, LieSpec, _columns, abelian, sl2_spec
-from .scalars import ONE, ZERO, LevelScalar
+from .scalars import ONE, ZERO, LevelScalar, rational_roots, rational_to_str
 from .terms import Terms, merge, sort_sign, weighted_multisets
 from .vertexcore import State
 
@@ -145,18 +146,28 @@ class GeneratorDictionary:
     def monomial_degree(self, mono: NopMono) -> int:
         return sum(self[s].degree for s, t in mono)
 
+    def _symbol(self, symbol: str, deriv: int) -> ClassicalPoly:
+        """The leading symbol of the letter (symbol, deriv), 0 for a zero letter;
+        a ValueError names a generator whose top is not constant in k."""
+        state = self.factor_state(symbol, deriv)
+        try:
+            return vc.leading_symbol(state) if state else ClassicalPoly.zero()
+        except ValueError as exc:
+            raise ValueError(f"generator {symbol}: {exc}") from None
+
     def closed_in_gr(self, weight: int) -> bool:
         """Whether the dictionary is closed under the derivative in gr below weight.
 
         That is: for every generator s of weight v < weight and degree d, the
-        degree-d component of ds (gr of the derivative applied to the top of
-        s) is a linear combination of the tops of the generators of weight
-        v + 1 and degree d.  Then, by induction on t, the top of every
+        leading symbol of ds (the derivation of gr applied to the symbol of
+        s) is a linear combination of the symbols of the generators of weight
+        v + 1 and degree d.  Then, by induction on t, the symbol of every
         derivative letter (s, t) of weight at most ``weight`` is a
-        combination of derivative-free tops of its weight and degree, and so
-        is every product of tops that holds such a letter.  Checked exactly
-        over Q(k): one ``linalg.factor`` per class (weight, degree) and call,
-        replayed once per symbol; the verdicts are kept until ``add``.
+        combination of derivative-free symbols of its weight and degree, and
+        so is every product of symbols that holds such a letter.  Checked
+        exactly over Q (a ValueError names a top not constant in k): one
+        ``linalg.factor`` per class (weight, degree) and call, replayed once
+        per symbol; the verdicts are kept until ``add``.
         """
         solvers = {}
         for sym, e in self.entries.items():
@@ -168,24 +179,24 @@ class GeneratorDictionary:
                 solver = solvers.get(cls)
                 if solver is None:
                     solver = solvers[cls] = linalg.factor([
-                        f.state.degree_component(f.degree).terms
-                        for f in self.entries.values() if (f.weight, f.degree) == cls
+                        self._symbol(f, 0).terms
+                        for f, fe in self.entries.items() if (fe.weight, fe.degree) == cls
                     ])
-                top = self.factor_state(sym, 1).degree_component(e.degree).terms
-                closed = self._closure[sym] = solver(top, ZERO) is not None
+                closed = self._closure[sym] = solver(self._symbol(sym, 1).terms, 0) is not None
             if not closed:
                 return False
         return True
 
 
 def evaluate_nop(nop: FormalNOP, dictionary: GeneratorDictionary) -> State:
-    """Linear, right-nested Wick evaluation of a formal polynomial."""
+    """Linear, right-nested Wick evaluation of a formal polynomial: a term
+    c :f rest: is (c f) o_{-1} :rest:, all converted to one State at once."""
     spec = dictionary.spec
-    acc = {}
+    pairs = []
     for mono, c in nop.terms.items():
-        factors = [dictionary.factor_state(s, t) for s, t in mono]
-        merge(acc, vc.wick_chain(spec, factors).terms, c)
-    return State.wrap(acc)
+        first, *rest = [dictionary.factor_state(s, t) for s, t in mono] or [State.vacuum()]
+        pairs += vc._products(spec, first.scale(c), -1, vc.wick_chain(spec, rest))
+    return vc._to_state(pairs)
 
 
 # -- generator constructions -----------------------------------------------------
@@ -329,36 +340,19 @@ def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_de
     return sorted((m for m in monos if m), key=lambda m: (dictionary.monomial_degree(m), m))
 
 
-def _graded_product(mono: NopMono, dictionary: GeneratorDictionary) -> dict:
-    """The degree-d component of a degree-d monomial's evaluation, as terms.
-
-    In the degree filtration the associated graded of the vacuum module is a
-    polynomial ring, so that component is the commutative product of the
-    factors' top-degree components: no Wick evaluation is needed.
-    """
-    acc = {(): ONE}
-    for s, t in mono:
-        top = dictionary.factor_state(s, t).degree_component(dictionary[s].degree).terms
-        product = {}
-        for m1, c1 in acc.items():
-            merge(product, {tuple(sorted(m1 + m2, key=vc.factor_key)): c2
-                            for m2, c2 in top.items()}, c1)
-        acc = product
-    return acc
-
-
 def express_in_generators(target: State, dictionary: GeneratorDictionary,
                           max_degree: int, exact_degree: int = None):
     """Solve target = normally ordered polynomial in the dictionary, or None.
 
-    The linear system is solved exactly over Q(k) with deterministic pivoting;
-    free coefficients are set to zero.  With exact_degree set, only the
+    The linear system is solved exactly with deterministic pivoting; free
+    coefficients are set to zero.  With exact_degree set, only the
     degree-exact_degree component of each evaluation is matched against target
     (the descent step of the quantum-correction algorithm).  Such a stage is
-    built in the associated graded: since gr of the vacuum module is a
-    polynomial ring, that component is the commutative product of the
-    factors' top-degree components, so no candidate is Wick-evaluated.  When
-    the dictionary is ``closed_in_gr`` up to the target's weight, the
+    built in gr, the ``ClassicalPoly`` ring: a column is the product of its
+    letters' leading symbols, over Q, and the target's monomials become their
+    ``vertexcore.symbol_key``, so no candidate is Wick-evaluated; every
+    letter's top must be constant in k (a ValueError names the generator).
+    When the dictionary is ``closed_in_gr`` up to the target's weight, the
     derivative letters add columns but nothing to their span, so such a
     stage takes derivative-free candidates only; otherwise it takes them all.
 
@@ -386,10 +380,14 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
                 m for m in enumerate_nop_monomials(dictionary, w, max_degree, derivatives)
                 if dictionary.monomial_degree(m) == exact_degree
             ]
-            columns = [_graded_product(mono, dictionary) for mono in candidates]
+            columns = [math.prod(dictionary._symbol(s, t) for s, t in mono).terms
+                       for mono in candidates]
         stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
     candidates, solver = stage
-    sol = solver(target.terms, ZERO)
+    rhs = target.terms
+    if exact_degree is not None:
+        rhs = {vc.symbol_key(mono): c for mono, c in rhs.items()}
+    sol = solver(rhs, ZERO)
     if sol is None:
         return None
     return FormalNOP({candidates[i]: c for i, c in enumerate(sol) if c})
@@ -406,11 +404,8 @@ def _symbol_name(sym) -> str:
 
 def normal_ordering(rel: QSymbolPoly) -> FormalNOP:
     """The canonical normal ordering: each symbol monomial becomes a Wick monomial."""
-    terms = {}
-    for key, c in rel.terms.items():
-        mono = tuple(sorted((_symbol_name(sym), 0) for sym in key))
-        terms[mono] = terms.get(mono, ZERO) + LevelScalar.from_fraction(c)
-    return FormalNOP(terms)
+    return FormalNOP({tuple((_symbol_name(sym), 0) for sym in key): c
+                      for key, c in rel.terms.items()})
 
 
 def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> FormalNOP:
@@ -488,9 +483,7 @@ def remainder_direct(n: int, I, J) -> Fraction:
     level to 1.
     """
     I, J = tuple(I), tuple(J)
-    from .classical import det_relation  # validates shape and monotonicity
-
-    rel = det_relation(n, I, J)
+    rel = det_relation(n, I, J)  # validates shape and monotonicity
     m = sum(I) + sum(J) + 2 * n
     if m % 2:
         raise ParityError(f"|I|+|J|+2n = {m} is odd; the remainder needs even weight index")
@@ -513,8 +506,6 @@ class DecoupleResult:
     excluded_levels: list
 
     def to_json(self):
-        from .scalars import rational_to_str
-
         return {
             "relation": self.relation.to_json(),
             "excluded_levels": [rational_to_str(q) for q in self.excluded_levels],
@@ -538,8 +529,6 @@ def decouple(spec: LieSpec, action: ActionSpec, dictionary: GeneratorDictionary,
     bounds.  Excluded levels are the rational roots of the denominators of
     the relation's coefficients.
     """
-    from .scalars import rational_roots
-
     _check_invariant(spec, action, target, "target")
     for sym in dictionary.symbols():
         _check_invariant(spec, action, dictionary[sym].state, f"generator {sym}")

@@ -13,11 +13,14 @@ reduction; ``Fraction``s appear only at the edges (``coeffs``, ``leading``,
 ``evaluate``, rendering) and inside polynomial division.
 
 Many ``LevelScalar`` products have a factor that is 1 or an integer constant:
-a state's coefficient in ``circle_product``, ``Terms.scale`` and
-``terms.merge``, or an entry of a column in ``linalg``'s elimination.  Such a
-factor is a unit of Q(k), so the product, and ``scale`` by an ``int``, skips
-the gcds and the polynomial product: it scales the other numerator's integers
-and keeps the other denominator.
+a pair of state coefficients in a circle product, ``Terms.scale``, or an
+entry of a column in ``linalg``'s elimination of a full stage.  Such a factor
+is a unit of Q(k), so the product, and ``scale`` by an ``int``, skips the
+gcds and the polynomial product: it scales the other numerator's integers and
+keeps the other denominator.  ``q * s`` and ``s / q`` for an ``int`` or
+``Fraction`` q are ``scale``: so ``linalg`` replays an elimination over Q on
+a right-hand side over Q(k).  A ``float`` raises ``TypeError`` wherever a
+number becomes a scalar.
 """
 
 from __future__ import annotations
@@ -33,6 +36,14 @@ class PoleAtLevel(ArithmeticError):
     def __init__(self, level: Fraction):
         self.level = Fraction(level)
         super().__init__(f"denominator vanishes at k = {self.level}")
+
+
+def _rational(q) -> Fraction:
+    """q, an int, ``Fraction`` or string such as ``"0.1"``, as a ``Fraction``.
+    A ``float`` raises ``TypeError``: 0.1 is 3602879701896397/36028797018963968."""
+    if isinstance(q, float):
+        raise TypeError(f"float {q!r} is not an exact scalar; pass an int, a Fraction or a string")
+    return Fraction(q)
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -290,7 +301,7 @@ class LevelScalar:
 
     @staticmethod
     def from_fraction(q) -> "LevelScalar":
-        q = Fraction(q)
+        q = _rational(q)
         if not q:
             return ZERO
         if q == 1:
@@ -367,8 +378,10 @@ class LevelScalar:
             d = self.den * other.den
         return _mkscalar(n, d)
 
-    def __truediv__(self, other: "LevelScalar") -> "LevelScalar":
-        return self * other.inverse()
+    def __truediv__(self, other) -> "LevelScalar":
+        if isinstance(other, LevelScalar):
+            return self * other.inverse()
+        return self.scale(1 / _rational(other))  # 1 / Fraction(0) raises ZeroDivisionError
 
     def inverse(self) -> "LevelScalar":
         if self.is_zero():
@@ -378,10 +391,12 @@ class LevelScalar:
     def scale(self, q) -> "LevelScalar":
         if type(q) is int:
             return _times_int(self, q) if q else ZERO
-        q = Fraction(q)
+        q = _rational(q)
         if not q:
             return ZERO
         return _mkscalar(self.num.scale(q), self.den)
+
+    __rmul__ = scale  # q * self for an int or Fraction q
 
     # -- evaluation -----------------------------------------------------------
 

@@ -18,27 +18,15 @@ one weight over an alphabet of weighted letters.
 from __future__ import annotations
 
 
-def merge(acc: dict, terms: dict, scale=None):
-    """acc += scale * terms (scale None means 1); drops cancellations."""
-    if scale is None:
-        for mono, c in terms.items():
-            s = acc.get(mono)
-            s = c if s is None else s + c
-            if s:
-                acc[mono] = s
-            elif mono in acc:
-                del acc[mono]
-    else:
-        if not scale:
-            return
-        for mono, c in terms.items():
-            v = c * scale
-            s = acc.get(mono)
-            s = v if s is None else s + v
-            if s:
-                acc[mono] = s
-            elif mono in acc:
-                del acc[mono]
+def merge(acc: dict, terms: dict):
+    """acc += terms; drops cancellations."""
+    for mono, c in terms.items():
+        s = acc.get(mono)
+        s = c if s is None else s + c
+        if s:
+            acc[mono] = s
+        elif mono in acc:
+            del acc[mono]
 
 
 class Terms:

@@ -39,7 +39,8 @@ images of ``_act_mono``, the one walk behind ``lie_act`` and
 ``apply_group_element``, which ``orbifold.invariant_subspace`` reads as they
 are.  States keep ``LevelScalar`` coefficients, and each public entry point
 (``circle_product``, and through it ``derivative``; ``mode_action``,
-``lie_act``, ``apply_group_element``) converts once per call: its (state
+``lie_act``, ``apply_group_element``; ``orbifold.evaluate_nop``, over the
+products of all its terms) converts once per call: its (state
 coefficient, integer map) pairs are grouped by the coefficient's denominator
 polynomial, summed in integers over one common integer denominator per
 group, and each output monomial's scalar is built once (common denominators:
@@ -374,19 +375,21 @@ def _cp_free(form, amono: Mono, n: int, bmono: Mono) -> dict:
     return {(mono, c): v for mono, coefs in acc.items() for c, v in enumerate(coefs) if v}
 
 
-def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
-    """The n-th circle product a o_n b, exact over Q(k).
-
-    The product is bilinear: it is summed over pairs of monomials, whose
-    products are cached per spec as integer maps.
-    """
+def _products(spec: LieSpec, a: State, n: int, b: State) -> list:
+    """a o_n b as (coefficient, integer map) pairs, for ``_to_state``."""
     pairs = []
     for amono, ca in a.terms.items():
         for bmono, cb in b.terms.items():
             terms = _cp_mono(spec, amono, n, bmono)
             if terms:
                 pairs.append((ca * cb, terms))
-    return _to_state(pairs)
+    return pairs
+
+
+def circle_product(spec: LieSpec, a: State, n: int, b: State) -> State:
+    """The n-th circle product a o_n b, exact over Q(k): a sum over pairs of
+    monomials, whose products are cached per spec as integer maps."""
+    return _to_state(_products(spec, a, n, b))
 
 
 def wick(spec: LieSpec, a: State, b: State) -> State:
@@ -427,6 +430,11 @@ def ope(spec: LieSpec, a: State, b: State):
     return out
 
 
+def symbol_key(mono: Mono) -> tuple:
+    """The ``ClassicalPoly`` key of a monomial, X^i(-d) -> x_{i,d-1}; one-to-one."""
+    return tuple(sorted((g, depth - 1) for g, depth in mono))
+
+
 def leading_symbol(a: State):
     """Project the top-degree part of a to its classical polynomial.
 
@@ -437,13 +445,9 @@ def leading_symbol(a: State):
     if a.is_zero():
         raise ValueError("leading_symbol of the zero state is undefined")
     d = degree(a)
-    terms = {}
-    for mono, c in a.terms.items():
-        if len(mono) != d:
-            continue
-        key = tuple(sorted((g, depth - 1) for g, depth in mono))
-        terms[key] = terms.get(key, Fraction(0)) + c.as_fraction()
-    return ClassicalPoly(terms)
+    return ClassicalPoly({
+        symbol_key(mono): c.as_fraction() for mono, c in a.terms.items() if len(mono) == d
+    })
 
 
 def sugawara(spec: LieSpec, h_dual) -> State:

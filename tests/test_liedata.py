@@ -371,6 +371,25 @@ def test_build_spec_rejects_conflicting_bracket_entries():
         build_spec(2, ["a", "b"], {(0, 1, 0): 1, (1, 0, 0): 1}, {})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: liedata._exact(0.5),
+    lambda: mat([[1, 0], [0, 0.5]]),
+    lambda: build_spec(1, ["a"], {}, {(0, 0): 0.5}),
+], ids=["_exact", "mat", "build_spec"])
+def test_floats_are_refused(make):
+    with pytest.raises(TypeError, match="float 0.5"):
+        make()
+
+
+def test_exact_rationals_from_ints_fractions_and_strings():
+    assert [liedata._exact(c) for c in (3, Fraction(6, 2), "0.5", Fraction(1, 3))] == [
+        3, 3, Fraction(1, 2), Fraction(1, 3)]
+    assert type(liedata._exact(Fraction(6, 2))) is int
+    assert mat([[1, "0.5"], [Fraction(1, 3), 0]]) == (
+        (Fraction(1), Fraction(1, 2)), (Fraction(1, 3), Fraction(0)))
+    assert build_spec(1, ["a"], {}, {(0, 0): "0.5"}).form == ((Fraction(1, 2),),)
+
+
 def test_builtin_algebra():
     assert builtin_algebra("sl2").name == "sl2"
     assert builtin_algebra("heisenberg3").dim == 3

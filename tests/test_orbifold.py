@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import dense_reference
 
 from voa import classical as cl
 from voa import liedata, linalg, orbifold as ob
@@ -116,12 +119,75 @@ def test_evaluate_nop_examples():
         ob.evaluate_nop(ob.FormalNOP.single("Nope[0]"), d)
 
 
+def _reference_nops(d, max_weight, seed):
+    """Formal polynomials over d with coefficients 1/(k+2), k^2 - 1, -3/2 and
+    k, each with a constant term: a few monomials of every weight."""
+    rng = random.Random(seed)
+    coeffs = [ONE / (K + ONE.scale(2)), K * K - ONE, LevelScalar.from_fraction(Fraction(-3, 2)), K]
+    for w in range(1, max_weight + 1):
+        monos = ob.enumerate_nop_monomials(d, w, w)
+        if monos:
+            terms = {m: rng.choice(coeffs) for m in rng.sample(monos, min(6, len(monos)))}
+            yield ob.FormalNOP({(): Fraction(5, 7), **terms})
+
+
+@pytest.mark.parametrize("make, max_weight", [
+    (lambda: ob.omega_dictionary(1, 8), 8),
+    (lambda: ob.omega_dictionary(2, 6), 6),
+    (lambda: _sl2_tilde_dictionary(), 7),
+], ids=["omega-rank1", "omega-rank2", "sl2-tilde"])
+def test_evaluate_nop_matches_per_term_reference(make, max_weight):
+    # one conversion of all the terms' products gives the per-term sums
+    d = make()
+    nops = list(_reference_nops(d, max_weight, 27))
+    assert nops
+    for nop in nops:
+        assert ob.evaluate_nop(nop, d) == dense_reference.evaluate_nop(nop, d)
+
+
+def test_evaluate_nop_converts_once(monkeypatch):
+    d = ob.omega_dictionary(1, 6)
+    short = ob.FormalNOP({
+        (("Om[0,0]", 0), ("Om[0,2]", 1)): K, (("Om[0,1]", 2),): ONE / (K + ONE), (): 3,
+    })
+    long = short + ob.FormalNOP({(("Om[0,0]", 0),) * 3: K * K})
+    want = [dense_reference.evaluate_nop(nop, d) for nop in (short, long)]  # warms factor_state
+    calls = []
+    for name in ("_to_state", "circle_product"):
+        def counted(*args, name=name, plain=getattr(vc, name)):
+            calls.append(name)
+            return plain(*args)
+        monkeypatch.setattr(vc, name, counted)
+    assert ob.evaluate_nop(short, d) == want[0]
+    assert calls == ["_to_state"]
+    calls.clear()
+    # a longer monomial's :rest: is a Wick chain of its own, one product each
+    assert ob.evaluate_nop(long, d) == want[1]
+    assert sorted(calls) == ["_to_state", "_to_state", "circle_product"]
+
+
+def test_lifted_nops_match_golden_file():
+    # tests/golden/quantum-correction-r2.json was written at commit e89ab8b,
+    # before graded stages were ClassicalPoly products: the lifted identity
+    # depends on the candidate order and the pivots, which it pins
+    out = []
+    for I, J in [((0, 1, 2), (0, 1, 2)), ((0, 1, 2), (0, 1, 4))]:
+        nop = ob.quantum_correction(det_relation(2, I, J), ob.omega_dictionary(2, 20))
+        out.append({"n": 2, "I": list(I), "J": list(J), "lifted": nop.to_json()})
+    golden = Path(__file__).parent / "golden" / "quantum-correction-r2.json"
+    assert (json.dumps(out, indent=2) + "\n").encode() == golden.read_bytes()
+
+
 def test_express_in_generators_rejects_weight_zero_generator():
     d = ob.GeneratorDictionary(H1)
     d.add("One", State.vacuum())
     d.add(ob.j_symbol(0), ob.j_gen(1, 0))
     with pytest.raises(ValueError, match=r"\('One', 0\) has weight 0"):
         ob.express_in_generators(ob.j_gen(1, 0), d, 2)
+    # an exact-degree stage too: the closure check passes over the vacuum,
+    # whose derivative is zero, and the letters are refused as before
+    with pytest.raises(ValueError, match=r"\('One', 0\) has weight 0"):
+        ob.express_in_generators(ob.j_gen(1, 0), d, 2, exact_degree=2)
 
 
 def test_express_in_generators_examples():
@@ -293,17 +359,58 @@ def _sl2_bare_dictionary():
     (_sl2_tilde_dictionary, 7),
     (_sl2_bare_dictionary, 4),
 ], ids=["omega-rank1", "omega-rank2", "sl2-tilde", "sl2-bare"])
-def test_graded_product_matches_full_evaluation(make, max_weight):
-    # an exact-degree stage column is the top component of the Wick evaluation
+def test_graded_product_matches_full_evaluation(monkeypatch, make, max_weight):
+    # an exact-degree stage column, the product of its letters' leading
+    # symbols, is the leading symbol of the candidate's Wick evaluation, over Q
     d = make()
-    count = 0
+    factored = []
+    plain = linalg.factor
+    monkeypatch.setattr(linalg, "factor", lambda columns: factored.append(columns) or plain(columns))
+    count = derivative_letters = 0
     for w in range(1, max_weight + 1):
-        for mono in ob.enumerate_nop_monomials(d, w, w):
-            deg = d.monomial_degree(mono)
-            full = ob.evaluate_nop(ob.FormalNOP({mono: ONE}), d)
-            assert ob._graded_product(mono, d) == full.degree_component(deg).terms, mono
-            count += 1
+        for deg in range(1, w + 1):
+            monos = [m for m in ob.enumerate_nop_monomials(d, w, deg)
+                     if d.monomial_degree(m) == deg]
+            if not monos:
+                continue
+            top = ob.evaluate_nop(ob.FormalNOP({monos[0]: ONE}), d).degree_component(deg)
+            ob.express_in_generators(top, d, deg, exact_degree=deg)
+            candidates, _ = d._stages[w, deg, deg]
+            columns = factored[-1]  # the stage's own, after any closure check
+            assert len(columns) == len(candidates) > 0
+            for mono, column in zip(candidates, columns):
+                full = ob.evaluate_nop(ob.FormalNOP({mono: ONE}), d)
+                assert vc.degree(full) == deg
+                assert column == vc.leading_symbol(full).terms, mono
+                assert {type(c) for c in column.values()} <= {int, Fraction}, mono
+                derivative_letters += any(t for _, t in mono)
+                count += 1
     assert count > 0
+    if make is _sl2_bare_dictionary:  # not closed in gr: derivative letters
+        assert derivative_letters > 0
+
+
+def _k_dependent_dictionary():
+    """omega_dictionary(1, 6) with the top of Om[0,0] scaled by k + 1."""
+    d = ob.omega_dictionary(1, 6)
+    return d.add("Om[0,0]", ob.omega(1, 0, 0).scale(K + ONE))
+
+
+def test_graded_stages_need_tops_constant_in_k():
+    # a top scaled by k + 1 has no leading symbol over Q, so a graded stage
+    # names the generator; a full stage and decouple still solve over Q(k)
+    named = r"generator Om\[0,0\]: scalar .* is not constant in k"
+    with pytest.raises(ValueError, match=named):
+        ob.quantum_correction(det_relation(1, (0, 1), (0, 1)), _k_dependent_dictionary())
+    target = vc.wick(H1, ob.omega(1, 0, 0), ob.omega(1, 0, 0)).degree_component(4)
+    with pytest.raises(ValueError, match=named):
+        ob.express_in_generators(target, _k_dependent_dictionary(), 4, exact_degree=4)
+    d = _k_dependent_dictionary()
+    full = ob.express_in_generators(ob.omega(1, 1, 1), d.subset(["Om[0,0]", "Om[0,2]"]), 4)
+    assert ob.evaluate_nop(full, d) == ob.omega(1, 1, 1)
+    assert full.terms[("Om[0,0]", 2),] == ONE / (K + ONE).scale(2)
+    res = ob.decouple(H1, O1, d.subset(["Om[0,0]", "Om[0,2]"]), ob.omega(1, 1, 1), 4)
+    assert res.relation == full and res.excluded_levels == [Fraction(-1)]
 
 
 def test_quantum_correction_evaluates_only_orderings_and_corrections(monkeypatch):

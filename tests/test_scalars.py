@@ -16,6 +16,7 @@ from voa.scalars import (
     poly_gcd,
     rational_roots,
 )
+from voa.vertexcore import State, coerce_scalar
 
 
 def poly(*coeffs):
@@ -418,3 +419,38 @@ def test_integer_times_polynomial_over_a_denominator():
         for got in (s.scale(n), s * LevelScalar.from_fraction(n), LevelScalar.from_fraction(n) * s):
             assert (got.num.ints, got.num.den) == (ints, den)
             assert got.den is s.den
+
+
+def test_rational_operands_match_their_scalars():
+    # q * s and s / q for an int or Fraction q are the products with q's scalar
+    rng = random.Random(20261021)
+    for s, _ in _fast_path_operands(rng):
+        for q in (1, -1, 3, -12, 10**20 + 7, Fraction(1, 2), Fraction(-7, 3), Fraction(6)):
+            r = LevelScalar.from_fraction(q)
+            for got, want in ((q * s, r * s), (s / q, s / r)):
+                assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    for q in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            K / q
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LevelScalar.from_fraction(0.1),
+    lambda: K.scale(0.1),
+    lambda: coerce_scalar(0.5),
+    lambda: State.generator(0).scale(0.1),
+    lambda: 0.5 * K,
+    lambda: K / 2.0,
+], ids=["from_fraction", "scale", "coerce_scalar", "State.scale", "rmul", "truediv"])
+def test_floats_are_refused(make):
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError, match="float"):
+        make()
+
+
+def test_ints_fractions_and_decimal_strings_stay_exact():
+    tenth = LevelScalar.from_fraction(Fraction(1, 10))
+    assert LevelScalar.from_fraction("0.1") == tenth == ONE / 10
+    assert K.scale("0.1") == K.scale(Fraction(1, 10)) == K * tenth
+    assert coerce_scalar(3) == LevelScalar.from_fraction(Fraction(3)) == ONE.scale(3)
+    assert State.generator(0).scale("2.5") == State.generator(0).scale(Fraction(5, 2))

@@ -62,14 +62,14 @@ def test_different_containers_never_equal():
     assert ClassicalPoly.constant(1) == poly
 
 
-def test_merge_scales_and_cancels_in_place():
+def test_merge_cancels_in_place():
     acc = {"a": Fraction(1), "b": Fraction(2)}
-    merge(acc, {"b": Fraction(-1), "c": Fraction(1)}, Fraction(2))
+    merge(acc, {"b": Fraction(-2), "c": Fraction(2)})
     assert acc == {"a": 1, "c": 2}
     assert list(acc) == ["a", "c"]
     merge(acc, {"a": Fraction(-1), "d": Fraction(5)})
     assert acc == {"c": 2, "d": 5}
-    merge(acc, {"c": Fraction(7)}, Fraction(0))
+    merge(acc, {})
     assert acc == {"c": 2, "d": 5}
 
 
