@@ -380,7 +380,9 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
                 m for m in enumerate_nop_monomials(dictionary, w, max_degree, derivatives)
                 if dictionary.monomial_degree(m) == exact_degree
             ]
-            columns = [math.prod(dictionary._symbol(s, t) for s, t in mono).terms
+            letters = dict.fromkeys(letter for mono in candidates for letter in mono)
+            symbols = {letter: dictionary._symbol(*letter) for letter in letters}
+            columns = [math.prod(symbols[letter] for letter in mono).terms
                        for mono in candidates]
         stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
     candidates, solver = stage

@@ -5,19 +5,21 @@ semantics: sorting contributes the sign of the permutation, and a repeated
 entry gives zero.  The recursion substitutes entries i_k -> i_k + i_r + j_0 + 2
 (and j_l likewise), which is what forces that extension.
 
-Evaluation.  ``rn`` normalises the caller's lists once; below that every list
-is a sorted tuple, and a substitution replaces one entry x, at position pos
-of a sorted tuple T, by v = x + shift > x.  So v's slot is
-q = bisect_left(T, v, pos + 1): an equal entry T[q] makes the sub-list
-repeated and the term zero; otherwise moving v from pos to q - 1 sorts the
-list with the sign (-1)^(q - pos - 1).  The term's coefficient
+Evaluation.  ``rn`` orders the caller's sorted lists as (lo, hi), lo <= hi,
+under the flat memo key lo + hi (its length gives n).  R_n is symmetric in
+its lists, so each entry is expanded along lo[0], the smaller leading entry:
+the shifts stay small and sub-lists share entries.  A substitution replaces
+one entry x, at position pos of a sorted tuple T, by v = x + shift > x.  So
+v's slot is q = bisect_left(T, v, pos + 1): an equal entry T[q] makes the
+sub-list repeated and the term zero; otherwise moving v from pos to q - 1
+sorts the list with the sign (-1)^(q - pos - 1).  The term's coefficient
 (-1)^i_r / (x + i_r + 2) + (-1)^j_0 / (x + j_0 + 2) is one pair of small
-integers (num, den).  Each memo entry with n >= 2 is one exact sum over a
-common denominator (n = 1 entries come from ``r1_closed_form``): the terms num * sub / den are brought over
-L = lcm(den * sub.denominator), added as integers and reduced once, by
-``Fraction(total, L)`` (von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5).  The values are the same ``Fraction``s as a term-by-term
-evaluation, which the tests keep as the reference.
+integers.  Memo values are reduced (numerator, denominator) int pairs: each
+entry, the n = 1 closed form included, is one sum over L = lcm of its terms'
+denominators, added as integers and reduced by one gcd (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 5); ``rn`` builds the one
+``Fraction`` it returns.  The tests keep a term-by-term ``Fraction``
+evaluation as the reference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ParityError, check_budget
 from .terms import sort_sign
@@ -42,20 +44,31 @@ def r1_closed_form(I, J) -> Fraction:
         raise ValueError("closed form needs two index pairs")
     if not (0 <= I[0] < I[1]) or not (0 <= J[0] < J[1]):
         raise ValueError("index lists must be strictly increasing and nonnegative")
-    i0, i1 = I
-    j0, j1 = J
-    if (i0 + i1 + j0 + j1) % 2:
-        raise ParityError(f"m = {i0 + i1 + j0 + j1 + 2} is odd")
-    s = lambda t: (-1) ** t
-    total = s(j0) * (Fraction(s(i0), 2 + i0 + i1) + Fraction(s(j1), 2 + i1 + j1))
-    total -= s(j1) * (Fraction(s(i0), 2 + i0 + i1) + Fraction(s(j0), 2 + i1 + j0))
-    total += s(i1) * (Fraction(s(i0), 2 + i0 + j0) + Fraction(s(j1), 2 + j0 + j1))
-    total -= s(i1) * (Fraction(s(i0), 2 + i0 + j1) + Fraction(s(j0), 2 + j0 + j1))
-    return total
+    if (sum(I) + sum(J)) % 2:
+        raise ParityError(f"m = {sum(I) + sum(J) + 2} is odd")
+    return Fraction(*_r1(*I, *J))
 
 
-# One logical map from canonical keys (n, I, J), I <= J, to R_n of the sorted
-# lists; entries are pure functions of their keys, so concurrent
+def _r1(i0, i1, j0, j1):
+    """The closed form as a reduced (num, den) pair: six denominators."""
+    si0, si1, sj0, sj1 = (-1 if t % 2 else 1 for t in (i0, i1, j0, j1))
+    return _reduce([
+        (si0 * (sj0 - sj1), 2 + i0 + i1), (sj0 * sj1, 2 + i1 + j1),
+        (-sj0 * sj1, 2 + i1 + j0), (si0 * si1, 2 + i0 + j0),
+        (si1 * (sj1 - sj0), 2 + j0 + j1), (-si0 * si1, 2 + i0 + j1),
+    ])
+
+
+def _reduce(terms):
+    """sum(t / d) over (t, d) pairs with d > 0, as a reduced (num, den) pair."""
+    L = lcm(*[d for _, d in terms])
+    total = sum(t * (L // d) for t, d in terms)
+    g = gcd(total, L)
+    return total // g, L // g
+
+
+# One logical map from flat keys lo + hi, lo <= hi, to R_n of the sorted lists
+# as a (num, den) pair; entries are pure functions of their keys, so concurrent
 # insert-or-get under the GIL at worst recomputes an identical value.
 _MEMO = {}
 
@@ -83,17 +96,18 @@ def rn(n: int, I, J, memoize: bool = True, allow_large: bool = False) -> Fractio
     if sI == 0 or sJ == 0:
         return Fraction(0)
     memo = _MEMO if memoize else {}
-    key = (n, I2, J2) if I2 <= J2 else (n, J2, I2)
+    lo, hi = (I2, J2) if I2 <= J2 else (J2, I2)
+    key = lo + hi
     val = memo.get(key)
     if val is None:
-        val = _rn(n, I2, J2, key, memo)
-    return sI * sJ * val
+        val = _rn(n, hi, lo, key, memo)
+    return sI * sJ * Fraction(*val)
 
 
-def _rn(n, I, J, key, memo) -> Fraction:
-    """R_n on sorted lists I, J with memo key ``key``; stores every entry it reaches."""
+def _rn(n, I, J, key, memo):
+    """R_n of sorted lists I >= J along J[0], stored under ``key`` = J + I."""
     if n == 1:
-        val = memo[key] = r1_closed_form(I, J)
+        val = memo[key] = _r1(*key)
         return val
     get = memo.get
     terms = []  # (numerator, denominator) of each nonzero term
@@ -114,11 +128,13 @@ def _rn(n, I, J, key, memo) -> Fraction:
                     continue
                 S = T[:pos] + T[pos + 1:q] + (v,) + T[q:]
                 A, B = (Ir, S) if side else (S, Jp)
-                k = (m, A, B) if A <= B else (m, B, A)
+                if A > B:
+                    A, B = B, A
+                k = A + B
                 sub = get(k)
                 if sub is None:
-                    sub = _rn(m, A, B, k, memo)
-                top = sub.numerator
+                    sub = _rn(m, B, A, k, memo)
+                top, den = sub
                 if top:
                     # (-1)^i_r / a + (-1)^j_0 / b = num / (a b), times
                     # -(-1)^r from the recursion and (-1)^(q - pos - 1)
@@ -127,9 +143,8 @@ def _rn(n, I, J, key, memo) -> Fraction:
                     num = (-b if ir % 2 else b) + (-a if j0 % 2 else a)
                     if (r + q - pos) % 2:
                         num = -num
-                    terms.append((num * top, a * b * sub.denominator))
-    L = lcm(*[d for _, d in terms])
-    val = memo[key] = Fraction(sum(t * (L // d) for t, d in terms), L)
+                    terms.append((num * top, a * b * den))
+    val = memo[key] = _reduce(terms)
     return val
 
 

@@ -62,7 +62,7 @@ class LevelPolynomial:
     __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Fraction] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         # over the lcm of reduced denominators, gcd(*ints, den) is already 1
@@ -74,7 +74,7 @@ class LevelPolynomial:
 
     @staticmethod
     def constant(q) -> "LevelPolynomial":
-        return LevelPolynomial((Fraction(q),))
+        return LevelPolynomial((_rational(q),))
 
     @staticmethod
     def variable() -> "LevelPolynomial":
@@ -202,7 +202,7 @@ class LevelPolynomial:
     def evaluate(self, k0) -> Fraction:
         if not self.ints:
             return _F_ZERO
-        k0 = Fraction(k0)
+        k0 = _rational(k0)
         p, q = k0.numerator, k0.denominator
         # sum(c_i p^i q^(n-i)) / (q^n den), by Horner in p with powers of q
         acc, qpow = 0, 1
@@ -401,7 +401,7 @@ class LevelScalar:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate_at(self, k0) -> Fraction:
-        k0 = Fraction(k0)
+        k0 = _rational(k0)
         d = self.den.evaluate(k0)
         if d == 0:
             raise PoleAtLevel(k0)

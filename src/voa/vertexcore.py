@@ -59,7 +59,9 @@ from fractions import Fraction
 from math import lcm
 
 from .liedata import LieSpec, _columns
-from .scalars import K, ONE, ZERO, LevelPolynomial, LevelScalar, _mkpoly, _mkscalar, _P_ONE
+from .scalars import (
+    K, ONE, ZERO, LevelPolynomial, LevelScalar, _mkpoly, _mkscalar, _P_ONE, _rational,
+)
 from .terms import Terms, merge
 
 Mono = tuple  # tuple of (generator index, mode depth >= 1) pairs
@@ -458,7 +460,7 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     """
     from . import linalg
 
-    h_dual = Fraction(h_dual)
+    h_dual = _rational(h_dual)
     # dual i is column i of the inverse form: the solution of B x = e_i
     apply = linalg.factor([dict(enumerate(col)) for col in zip(*spec.form)])
     inverse_columns = [apply({i: Fraction(1)}, Fraction(0)) for i in range(spec.dim)]

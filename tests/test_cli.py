@@ -452,6 +452,8 @@ GOLDEN_COMMANDS = {
                     "--json"],
     "invariants": ["invariants", "--algebra", "heisenberg2", "--action", "orthogonal",
                    "--weight", "4", "--json"],
+    "remainder-signed": ["remainder", "--n", "3", "--I", "1,0,2,3", "--J", "0,1,2,5", "--json"],
+    "remainder-n4": ["remainder", "--n", "4", "--I", "0,1,2,3,4", "--J", "0,1,2,3,6", "--json"],
     "remainder-direct": ["remainder-direct", "--n", "2", "--I", "0,1,2", "--J", "0,1,4",
                          "--json"],
     "sl2-generators": ["sl2-generators", "--max-weight", "6", "--json"],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,9 @@ R7 = Fraction(-106186063, 159973389240949047988224000000)
 
 
 def _reference_rn(n, I, J, memo):
-    """R_n(I, J) on any lists, one Fraction operation per term, memo by canonical key."""
+    """R_n(I, J) on any lists, one Fraction operation per term, expanded along
+    J's least entry; the memo is keyed by the ordered (n, I, J), so R_n(I, J)
+    and R_n(J, I) are computed independently."""
     sI, I2 = sort_sign(I)
     if sI == 0:
         return Fraction(0)
@@ -40,7 +43,7 @@ def _reference_rn(n, I, J, memo):
     if sJ == 0:
         return Fraction(0)
     sign = sI * sJ
-    key = (n, I2, J2) if I2 <= J2 else (n, J2, I2)
+    key = (n, I2, J2)
     hit = memo.get(key)
     if hit is not None:
         return sign * hit
@@ -118,9 +121,22 @@ def test_kernel_matches_reference_memo_through_n5():
     for n in range(1, 6):
         diag = tuple(range(n + 1))
         assert rn(n, diag, diag) == _reference_rn(n, diag, diag, reference) == TABLE[n]
-    assert remainder._MEMO.keys() == reference.keys()
-    for key, value in reference.items():
-        assert remainder._MEMO[key] == value, key
+    # every memo entry, under its flat key lo + hi, is R_n in both orientations
+    assert len(remainder._MEMO) == 2730
+    for key, (num, den) in remainder._MEMO.items():
+        half = len(key) // 2
+        lo, hi = key[:half], key[half:]
+        assert lo <= hi and den > 0 and math.gcd(num, den) == 1
+        want = _reference_rn(half - 1, lo, hi, reference)
+        assert Fraction(num, den) == want == _reference_rn(half - 1, hi, lo, reference), key
+
+
+def test_memo_expands_along_the_smaller_list():
+    # each entry is expanded along its lexicographically smaller list; the
+    # other orientation reaches 31,788 entries here
+    remainder._MEMO.clear()
+    assert [value for _, value in table1(6)] == [TABLE[n] for n in range(1, 7)]
+    assert len(remainder._MEMO) == 18685
 
 
 def test_kernel_matches_reference_on_signed_inputs():

@@ -16,7 +16,8 @@ from voa.scalars import (
     poly_gcd,
     rational_roots,
 )
-from voa.vertexcore import State, coerce_scalar
+from voa.liedata import sl2_spec
+from voa.vertexcore import State, coerce_scalar, sugawara
 
 
 def poly(*coeffs):
@@ -441,7 +442,13 @@ def test_rational_operands_match_their_scalars():
     lambda: State.generator(0).scale(0.1),
     lambda: 0.5 * K,
     lambda: K / 2.0,
-], ids=["from_fraction", "scale", "coerce_scalar", "State.scale", "rmul", "truediv"])
+    lambda: K.evaluate_at(0.1),
+    lambda: LevelPolynomial.constant(0.1),
+    lambda: LevelPolynomial([0.1, 1]),
+    lambda: LevelPolynomial.variable().evaluate(0.1),
+    lambda: sugawara(sl2_spec(), 0.1),
+], ids=["from_fraction", "scale", "coerce_scalar", "State.scale", "rmul", "truediv",
+        "evaluate_at", "constant", "LevelPolynomial", "evaluate", "sugawara"])
 def test_floats_are_refused(make):
     # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError, match="float"):
@@ -454,3 +461,9 @@ def test_ints_fractions_and_decimal_strings_stay_exact():
     assert K.scale("0.1") == K.scale(Fraction(1, 10)) == K * tenth
     assert coerce_scalar(3) == LevelScalar.from_fraction(Fraction(3)) == ONE.scale(3)
     assert State.generator(0).scale("2.5") == State.generator(0).scale(Fraction(5, 2))
+    assert LevelPolynomial(["0.1", 1]) == LevelPolynomial([Fraction(1, 10), 1])
+    assert LevelPolynomial.constant("0.1") == LevelPolynomial.constant(Fraction(1, 10))
+    assert K.evaluate_at("0.1") == LevelPolynomial.variable().evaluate("0.1") == Fraction(1, 10)
+    assert K.evaluate_at(2) == LevelPolynomial.variable().evaluate(Fraction(2)) == 2
+    assert sugawara(sl2_spec(), "2.5") == sugawara(sl2_spec(), Fraction(5, 2))
+    assert sugawara(sl2_spec(), 2) == sugawara(sl2_spec(), Fraction(2))
