@@ -92,9 +92,9 @@ def cache_stats() -> dict:
     """Entry counts of the process-wide caches, as a new dict.
 
     Each ``lru_cache`` is reported as ``"<module>.<name>"`` with its current
-    size, and the derivative, descent-stage and closure caches of the
-    dictionaries in ``orbifold._OMEGA_CACHE`` are summed over those
-    dictionaries.  Reading the counts changes no cache.
+    size, and the derivative, descent-stage, closure and leading-symbol
+    caches of the dictionaries in ``orbifold._OMEGA_CACHE`` are summed over
+    those dictionaries.  Reading the counts changes no cache.
     """
     dictionaries = list(orbifold._OMEGA_CACHE.values())
     return {
@@ -103,6 +103,7 @@ def cache_stats() -> dict:
         "orbifold._OMEGA_CACHE._deriv_cache": sum(len(d._deriv_cache) for d in dictionaries),
         "orbifold._OMEGA_CACHE._stages": sum(len(d._stages) for d in dictionaries),
         "orbifold._OMEGA_CACHE._closure": sum(len(d._closure) for d in dictionaries),
+        "orbifold._OMEGA_CACHE._symbols": sum(len(d._symbols) for d in dictionaries),
         **{
             f"{f.__module__.removeprefix('voa.')}.{f.__name__}": f.cache_info().currsize
             for f in _LRU_CACHES

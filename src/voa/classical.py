@@ -6,6 +6,21 @@ weight j+1, matching the vertex-algebra weight of the corresponding state.
 
 Two symbol alphabets ride on top: the orthogonal quadratics Q_{a,b} and the
 adjoint-sl2 cubics C_{klm}, with their determinantal relation families.
+
+Both rings key a monomial by one packed integer (packed exponent vectors:
+Monagan & Pearce, *Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors*, CASC 2007).  Its bits [0, W) hold the total
+degree, and letter number t has its exponent in bits [W(t+1), W(t+2)),
+with W = ``FIELD_BITS``; the empty monomial is 0.  So the product of two
+monomials is the sum of their keys, and a derivative subtracts the key of
+one letter.  Letters are the variables (i, j) and the symbols
+("Q", a, b) and ("C", k, l, m); one registry, shared by both rings, numbers
+them densely in the order of first use, which keeps the keys short.  Keys
+are therefore local to the process: ``letters(key)`` spells a key out as
+the sorted tuple of its letters, each repeated as often as its exponent,
+and everything that orders or prints monomials goes through it.  A product
+whose degree would reach 2^W (``MAX_DEGREE`` + 1) raises ``ValueError``
+before any field could overflow into the next.
 """
 
 from __future__ import annotations
@@ -27,32 +42,102 @@ SL2_X, SL2_Y, SL2_H = 0, 1, 2
 #: substitution builds each symbol's image once
 IMAGE_CACHE_SIZE = 256
 
+#: bits of each field of a packed key, and the highest degree a key can hold
+FIELD_BITS = 6
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+
+#: the letter registry: letter -> the key of its monomial, and number -> letter
+_KEYS = {}
+_LETTERS = []
+
+
+def letter_key(letter) -> int:
+    """The key of the monomial of one letter, numbering the letter on first use."""
+    key = _KEYS.get(letter)
+    if key is None:
+        _LETTERS.append(letter)
+        key = _KEYS[letter] = (1 << (FIELD_BITS * len(_LETTERS))) | 1
+    return key
+
+
+def monomial_key(spelled) -> int:
+    """The key of the monomial with the given letters (repeats are powers)."""
+    spelled = tuple(spelled)
+    if len(spelled) > MAX_DEGREE:
+        raise ValueError(f"a monomial of degree {len(spelled)} exceeds the packed-key "
+                         f"bound {MAX_DEGREE}")
+    return sum(map(letter_key, spelled))
+
+
+def letters(key: int) -> tuple:
+    """The sorted tuple of a key's letters, each repeated as often as its exponent."""
+    out = []
+    rest = key >> FIELD_BITS
+    while rest:
+        shift = (rest & -rest).bit_length() - 1
+        shift -= shift % FIELD_BITS
+        e = (rest >> shift) & MAX_DEGREE
+        out += [_LETTERS[shift // FIELD_BITS]] * e
+        rest ^= e << shift
+    return tuple(sorted(out))
+
+
+def _check_indices(*indices):
+    if min(indices) < 0:
+        raise ValueError("indices must be nonnegative")
+
 
 def _product(self, other):
-    """Product of two polynomials whose keys are sorted tuples of variables,
-    each repeated as often as its exponent."""
+    """Product of two polynomials over packed keys: each key product is a sum.
+
+    Terms are accumulated as ``terms.merge`` would, one row of ``self`` at a
+    time, so the keys come in the same order.
+    """
+    a, b = self.terms, other.terms
+    if not (a and b):
+        return self.wrap({})
+    degree = max(map(MAX_DEGREE.__and__, a)) + max(map(MAX_DEGREE.__and__, b))
+    if degree > MAX_DEGREE:
+        raise ValueError(f"a product of degree {degree} exceeds the packed-key "
+                         f"bound {MAX_DEGREE}")
+    if len(a) == 1:
+        # k1 + k2 is distinct for distinct k2: no collisions
+        ((k1, c1),) = a.items()
+        return self.wrap({k1 + k2: c1 * c2 for k2, c2 in b.items()})
     out = {}
-    for k1, c1 in self.terms.items():
-        # k1 * k2 is distinct for distinct k2: no collisions
-        merge(out, {tuple(sorted(k1 + k2)): c1 * c2 for k2, c2 in other.terms.items()})
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            s = get(k)
+            if s is None:
+                out[k] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
     return self.wrap(out)
 
 
 class ClassicalPoly(Terms):
     """Exact polynomial in the variables x_{i,j}; terms map monomial keys to Q.
 
-    A key is the sorted tuple of the variables (i, j) of the monomial, each
-    repeated as often as its exponent.  Coefficients are exact rationals:
-    ``int`` when ``coerce`` sees an integral value, otherwise ``Fraction``.
+    A key is the packed integer of the monomial, over the letters (i, j).
+    Coefficients are exact rationals: ``int`` when ``coerce`` sees an
+    integral value, otherwise ``Fraction``.
     """
 
     __slots__ = ()
 
     coerce = staticmethod(_exact)
+    unit_key = 0
 
     @staticmethod
     def variable(i: int, j: int) -> "ClassicalPoly":
-        return ClassicalPoly.wrap({((i, j),): 1})
+        _check_indices(i, j)
+        return ClassicalPoly.wrap({letter_key((i, j)): 1})
 
     __mul__ = _product
 
@@ -60,41 +145,43 @@ class ClassicalPoly(Terms):
 
     def poly_weight(self):
         """Common weight sum(j+1) over a key; None when inhomogeneous, 0 when zero."""
-        ws = {sum(j + 1 for _, j in k) for k in self.terms}
+        ws = {sum(j + 1 for _, j in letters(k)) for k in self.terms}
         if not ws:
             return 0
         return ws.pop() if len(ws) == 1 else None
 
     def families(self):
-        return sorted({i for k in self.terms for i, _ in k})
+        return sorted({i for k in self.terms for i, _ in letters(k)})
 
     # -- derivations and substitutions ----------------------------------------
 
     def partial(self, i: int, j: int) -> "ClassicalPoly":
         # removing one copy of x_{i,j} maps distinct keys to distinct keys
-        var = (i, j)
+        step = _KEYS.get((i, j))
+        if step is None:
+            return ClassicalPoly.zero()
+        shift = step.bit_length() - 1
         out = {}
         for key, c in self.terms.items():
-            e = key.count(var)
+            e = (key >> shift) & MAX_DEGREE
             if e:
-                t = key.index(var)
-                out[key[:t] + key[t + 1:]] = c * e
+                out[key - step] = c * e
         return ClassicalPoly.wrap(out)
 
     def derive_variables(self, fn) -> "ClassicalPoly":
         """Derivation determined by x_{i,j} |-> fn((i, j)) (a ClassicalPoly)."""
         return ClassicalPoly.sum(
-            self.partial(*v) * fn(v) for v in sorted({v for k in self.terms for v in k})
+            self.partial(*v) * fn(v) for v in sorted({v for k in self.terms for v in letters(k)})
         )
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for key, c in sorted(self.terms.items()):
+        for spelled, c in sorted((letters(key), c) for key, c in self.terms.items()):
             factors = "".join(
                 f"x[{i},{j}]" + (f"^{e}" if e > 1 else "")
-                for (i, j), e in ((v, len(list(g))) for v, g in itertools.groupby(key))
+                for (i, j), e in ((v, len(list(g))) for v, g in itertools.groupby(spelled))
             )
             parts.append(f"{c}" if not factors else f"{c}*{factors}")
         return " + ".join(parts)
@@ -106,8 +193,7 @@ class ClassicalPoly(Terms):
 @functools.lru_cache(maxsize=IMAGE_CACHE_SIZE)
 def weyl_q(n: int, a: int, b: int) -> ClassicalPoly:
     """The orthogonal quadratic sum_i x_{i,a} x_{i,b} over n families."""
-    if a < 0 or b < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_indices(a, b)
     return ClassicalPoly.sum(
         ClassicalPoly.variable(i, a) * ClassicalPoly.variable(i, b) for i in range(n)
     )
@@ -145,13 +231,13 @@ def _determinant(cls, n, entry):
 
 def q_symbol(a: int, b: int):
     """Canonical Q symbol; Q is symmetric so indices are sorted."""
-    if a < 0 or b < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_indices(a, b)
     return ("Q", min(a, b), max(a, b))
 
 
 def c_symbol(k: int, l: int, m: int):
     """Canonical C symbol with the permutation sign, or (None, 0) on repeats."""
+    _check_indices(k, l, m)
     sign, order = sort_sign((k, l, m))
     if not sign:
         return None, 0
@@ -161,24 +247,26 @@ def c_symbol(k: int, l: int, m: int):
 class QSymbolPoly(Terms):
     """Polynomial in the abstract symbols Q_{a,b} (and C_{klm} in sl2 mode).
 
-    Coefficients are exact rationals: ``int`` when ``coerce`` sees an
-    integral value, otherwise ``Fraction``.
+    A key is the packed integer of the monomial, over the letters
+    ("Q", a, b) and ("C", k, l, m).  Coefficients are exact rationals:
+    ``int`` when ``coerce`` sees an integral value, otherwise ``Fraction``.
     """
 
     __slots__ = ()
 
     coerce = staticmethod(_exact)
+    unit_key = 0
 
     @staticmethod
     def q(a, b):
-        return QSymbolPoly.wrap({(q_symbol(a, b),): 1})
+        return QSymbolPoly.wrap({letter_key(q_symbol(a, b)): 1})
 
     @staticmethod
     def c(k, l, m):
         sym, sign = c_symbol(k, l, m)
         if sign == 0:
             return QSymbolPoly.zero()
-        return QSymbolPoly.wrap({(sym,): sign})
+        return QSymbolPoly.wrap({letter_key(sym): sign})
 
     __mul__ = _product
 
@@ -186,9 +274,9 @@ class QSymbolPoly(Terms):
         if not self.terms:
             return "0"
         parts = []
-        for key, c in sorted(self.terms.items()):
+        for spelled, c in sorted((letters(key), c) for key, c in self.terms.items()):
             factors = "".join(
-                f"{s[0]}[{','.join(str(t) for t in s[1:])}]" for s in key
+                f"{s[0]}[{','.join(str(t) for t in s[1:])}]" for s in spelled
             )
             parts.append(f"{c}" if not factors else f"{c}*{factors}")
         return " + ".join(parts)
@@ -216,10 +304,11 @@ def _substitute(p, image) -> ClassicalPoly:
     p is a QSymbolPoly (letters are symbols) or a ClassicalPoly (letters are
     variables (i, j)); image is called once per distinct letter of p.
     """
-    images = {v: image(v) for v in dict.fromkeys(itertools.chain.from_iterable(p.terms))}
+    spelled = [(letters(key), c) for key, c in p.terms.items()]
+    images = {v: image(v) for v in dict.fromkeys(itertools.chain.from_iterable(s for s, _ in spelled))}
     return ClassicalPoly.sum(
-        math.prod(map(images.__getitem__, key), start=ClassicalPoly.constant(c))
-        for key, c in p.terms.items()
+        math.prod(map(images.__getitem__, s), start=ClassicalPoly.constant(c))
+        for s, c in spelled
     )
 
 

@@ -181,7 +181,9 @@ def cmd_remainder(args) -> int:
 
 
 def cmd_remainder_direct(args) -> int:
-    return _emit_remainder(args, lambda I, J: ob.remainder_direct(args.n, I, J))
+    return _emit_remainder(
+        args, lambda I, J: ob.remainder_direct(args.n, I, J, allow_large=args.allow_large)
+    )
 
 
 def _parse_j_name(name: str) -> int:
@@ -331,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--I", required=True)
     sp.add_argument("--J", required=True)
+    sp.add_argument("--allow-large", action="store_true",
+                    help="opt in to a weight index m beyond the default resource bound")
 
     sp = add("decouple", cmd_decouple, help="search for a decoupling relation")
     sp.add_argument("--algebra", required=True)

@@ -17,6 +17,10 @@ class ResourceError(RuntimeError):
     """A computation exceeds the configured weight budget."""
 
 
+#: the opt-in named by the budgets that ``allow_large`` lifts
+ALLOW_LARGE = "pass allow_large=True (--allow-large on the command line)"
+
+
 def check_budget(quantity: str, value: int, bound: int, opt_in: str = None,
                  allowed: bool = False):
     """Raise ResourceError when value exceeds bound and the opt-in is not given.

@@ -16,9 +16,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, vertexcore as vc
+from . import classical as cl, linalg, vertexcore as vc
 from .classical import ClassicalPoly, QSymbolPoly, det_relation
-from .errors import DescentStuck, ParityError, check_budget
+from .errors import ALLOW_LARGE, DescentStuck, ParityError, check_budget
 from .liedata import ActionSpec, LieSpec, _columns, abelian, sl2_spec
 from .scalars import ONE, ZERO, LevelScalar, rational_roots, rational_to_str
 from .terms import Terms, merge, sort_sign, weighted_multisets
@@ -107,17 +107,20 @@ class GeneratorDictionary:
         #: filled by closed_in_gr: symbol -> whether the top of its derivative
         #: lies in the span of the tops of the next weight's class
         self._closure = {}
+        #: filled by _symbol: letter (symbol, deriv) -> its leading symbol
+        self._symbols = {}
 
     def add(self, symbol: str, state: State):
         w = vc.weight(state)
         if w is None:
             raise ValueError(f"generator {symbol} is not weight-homogeneous")
         self.entries[symbol] = GenEntry(state, vc.degree(state), w)
-        # a re-added symbol's derivatives, every stage and the closure depend
-        # on the entries
+        # a re-added symbol's derivatives and leading symbols, every stage and
+        # the closure depend on the entries
         self._deriv_cache.clear()
         self._stages.clear()
         self._closure.clear()
+        self._symbols.clear()
         return self
 
     def __getitem__(self, symbol) -> GenEntry:
@@ -147,13 +150,19 @@ class GeneratorDictionary:
         return sum(self[s].degree for s, t in mono)
 
     def _symbol(self, symbol: str, deriv: int) -> ClassicalPoly:
-        """The leading symbol of the letter (symbol, deriv), 0 for a zero letter;
-        a ValueError names a generator whose top is not constant in k."""
-        state = self.factor_state(symbol, deriv)
-        try:
-            return vc.leading_symbol(state) if state else ClassicalPoly.zero()
-        except ValueError as exc:
-            raise ValueError(f"generator {symbol}: {exc}") from None
+        """The leading symbol of the letter (symbol, deriv), 0 for a zero letter,
+        built once until ``add``; a ValueError names a generator whose top is
+        not constant in k."""
+        key = (symbol, deriv)
+        hit = self._symbols.get(key)
+        if hit is None:
+            state = self.factor_state(symbol, deriv)
+            try:
+                hit = vc.leading_symbol(state) if state else ClassicalPoly.zero()
+            except ValueError as exc:
+                raise ValueError(f"generator {symbol}: {exc}") from None
+            self._symbols[key] = hit
+        return hit
 
     def closed_in_gr(self, weight: int) -> bool:
         """Whether the dictionary is closed under the derivative in gr below weight.
@@ -380,9 +389,7 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
                 m for m in enumerate_nop_monomials(dictionary, w, max_degree, derivatives)
                 if dictionary.monomial_degree(m) == exact_degree
             ]
-            letters = dict.fromkeys(letter for mono in candidates for letter in mono)
-            symbols = {letter: dictionary._symbol(*letter) for letter in letters}
-            columns = [math.prod(symbols[letter] for letter in mono).terms
+            columns = [math.prod(dictionary._symbol(*letter) for letter in mono).terms
                        for mono in candidates]
         stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
     candidates, solver = stage
@@ -406,7 +413,7 @@ def _symbol_name(sym) -> str:
 
 def normal_ordering(rel: QSymbolPoly) -> FormalNOP:
     """The canonical normal ordering: each symbol monomial becomes a Wick monomial."""
-    return FormalNOP({tuple((_symbol_name(sym), 0) for sym in key): c
+    return FormalNOP({tuple((_symbol_name(sym), 0) for sym in cl.letters(key)): c
                       for key, c in rel.terms.items()})
 
 
@@ -440,9 +447,11 @@ def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> For
 
 #: rank n -> omega_dictionary(n, REMAINDER_MAX_M + 2), shared by every
 #: remainder_direct call of that rank so that each generator derivative and
-#: each descent stage is computed once.  Generators heavier than a call's
-#: weight give its candidates no letters, and stage keys start with the
-#: weight, so calls of different m neither see nor disturb each other's stages
+#: each descent stage is computed once; a call with a larger m (by
+#: ``allow_large``) rebuilds it once to weight m + 2.  Generators heavier
+#: than a call's weight give its candidates no letters, and stage keys start
+#: with the weight, so calls of different m neither see nor disturb each
+#: other's stages
 _OMEGA_CACHE = {}
 
 
@@ -477,22 +486,23 @@ def pr_coefficient(nop: FormalNOP, m: int) -> LevelScalar:
 REMAINDER_MAX_M = 18
 
 
-def remainder_direct(n: int, I, J) -> Fraction:
+def remainder_direct(n: int, I, J, allow_large: bool = False) -> Fraction:
     """The remainder coefficient computed from scratch in the Heisenberg algebra.
 
     Builds the determinant relation, lifts it by quantum corrections, extracts
     the degree-one tail, projects along total derivatives, and specializes the
-    level to 1.
+    level to 1.  A weight index m beyond ``REMAINDER_MAX_M`` raises
+    ``ResourceError`` unless ``allow_large``.
     """
     I, J = tuple(I), tuple(J)
     rel = det_relation(n, I, J)  # validates shape and monotonicity
     m = sum(I) + sum(J) + 2 * n
     if m % 2:
         raise ParityError(f"|I|+|J|+2n = {m} is odd; the remainder needs even weight index")
-    check_budget("weight index m", m, REMAINDER_MAX_M)
+    check_budget("weight index m", m, REMAINDER_MAX_M, ALLOW_LARGE, allow_large)
     dictionary = _OMEGA_CACHE.get(n)
-    if dictionary is None:
-        dictionary = _OMEGA_CACHE[n] = omega_dictionary(n, REMAINDER_MAX_M + 2)
+    if dictionary is None or omega_symbol(0, m) not in dictionary.entries:
+        dictionary = _OMEGA_CACHE[n] = omega_dictionary(n, max(m, REMAINDER_MAX_M) + 2)
     lifted = quantum_correction(rel, dictionary)
     tail = lifted.restrict_degree(dictionary, 2)
     coeff = pr_coefficient(tail, m)

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ParityError, check_budget
+from .errors import ALLOW_LARGE, ParityError, check_budget
 from .terms import sort_sign
 
 #: n (and table entries) beyond this need the explicit opt-in flag
 TABLE_MAX_DEFAULT = 7
-_OPT_IN = "pass allow_large=True (--allow-large on the command line)"
 
 
 def r1_closed_form(I, J) -> Fraction:
@@ -90,7 +89,7 @@ def rn(n: int, I, J, memoize: bool = True, allow_large: bool = False) -> Fractio
         raise ValueError("indices must be nonnegative")
     if (sum(I) + sum(J)) % 2:
         raise ParityError(f"m = {sum(I) + sum(J) + 2 * n} is odd")
-    check_budget("n", n, TABLE_MAX_DEFAULT, _OPT_IN, allow_large)
+    check_budget("n", n, TABLE_MAX_DEFAULT, ALLOW_LARGE, allow_large)
     sI, I2 = sort_sign(I)
     sJ, J2 = sort_sign(J)
     if sI == 0 or sJ == 0:
@@ -152,7 +151,7 @@ def table1(n_max: int, allow_large: bool = False):
     """R_n at the diagonal I = J = (0, ..., n) for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    check_budget("n_max", n_max, TABLE_MAX_DEFAULT, _OPT_IN, allow_large)
+    check_budget("n_max", n_max, TABLE_MAX_DEFAULT, ALLOW_LARGE, allow_large)
     out = []
     for n in range(1, n_max + 1):
         diag = tuple(range(n + 1))

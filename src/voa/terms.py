@@ -3,8 +3,9 @@
 A state, a formal normally ordered polynomial, a classical polynomial and a
 polynomial in the Q/C symbols are each a finite map from monomial keys to
 exact coefficients.  The map is a dict that never holds a zero value, and
-every operation drops the terms that cancel.  Subclasses supply their keys,
-their products and their rendering; ``coerce`` turns an input coefficient
+every operation drops the terms that cancel.  Subclasses supply their keys
+(with ``unit_key``, the key of the empty monomial), their products and
+their rendering; ``coerce`` turns an input coefficient
 (an int, say) into the subclass's coefficient type.  The classical
 containers coerce to ``int`` or ``Fraction``, and their arithmetic may
 leave an integral ``Fraction`` (``Fraction(3, 2) * 2``), which compares,
@@ -39,6 +40,7 @@ class Terms:
     __slots__ = ("terms",)
 
     coerce = None  # coefficient coercion, set by each subclass
+    unit_key = ()  # the key of the empty monomial
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -73,7 +75,7 @@ class Terms:
 
     @classmethod
     def constant(cls, c):
-        return cls({(): c})
+        return cls({cls.unit_key: c})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -58,6 +58,7 @@ import math
 from fractions import Fraction
 from math import lcm
 
+from .classical import ClassicalPoly, monomial_key
 from .liedata import LieSpec, _columns
 from .scalars import (
     K, ONE, ZERO, LevelPolynomial, LevelScalar, _mkpoly, _mkscalar, _P_ONE, _rational,
@@ -432,9 +433,9 @@ def ope(spec: LieSpec, a: State, b: State):
     return out
 
 
-def symbol_key(mono: Mono) -> tuple:
+def symbol_key(mono: Mono) -> int:
     """The ``ClassicalPoly`` key of a monomial, X^i(-d) -> x_{i,d-1}; one-to-one."""
-    return tuple(sorted((g, depth - 1) for g, depth in mono))
+    return monomial_key((g, depth - 1) for g, depth in mono)
 
 
 def leading_symbol(a: State):
@@ -442,8 +443,6 @@ def leading_symbol(a: State):
 
     The coefficient of each top-degree monomial must be constant in k.
     """
-    from .classical import ClassicalPoly
-
     if a.is_zero():
         raise ValueError("leading_symbol of the zero state is undefined")
     d = degree(a)

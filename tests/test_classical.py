@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import tuple_reference as ref
 from voa import classical as cl
 from voa import liedata
 from voa.classical import ClassicalPoly, QSymbolPoly
@@ -60,7 +61,7 @@ def test_sl2_relations_examples():
     assert cl.substitute_sl2(cl.sl2_relation_type2(0, 1, 2, 0, 1, 2)).is_zero()
     rel2 = cl.sl2_relation_type2(0, 1, 2, 0, 1, 2)
     c012 = ("C", 0, 1, 2)
-    assert rel2.terms.get((c012, c012)) == 1
+    assert {c for key, c in rel2.terms.items() if cl.letters(key) == (c012, c012)} == {1}
 
 
 def test_sl2_relations_vanish_sample():
@@ -136,7 +137,7 @@ def test_minimal_dring_generators_rejects_weight_zero_candidate():
 def test_substitute_builds_each_image_once():
     # every Q_{a,b} of the 3x3 determinant occurs in two of its six terms
     p = cl.det_relation(2, (0, 1, 2), (0, 1, 2))
-    letters = [sym for key in p.terms for sym in key]
+    letters = [sym for key in p.terms for sym in cl.letters(key)]
     assert len(letters) > len(set(letters))
     calls = []
 
@@ -148,7 +149,8 @@ def test_substitute_builds_each_image_once():
     assert sorted(calls) == sorted(set(letters))
     # the same homomorphism with an image built at every occurrence
     want = ClassicalPoly.sum(
-        math.prod((cl.weyl_q(3, a, b) for _, a, b in key), start=ClassicalPoly.constant(c))
+        math.prod((cl.weyl_q(3, a, b) for _, a, b in cl.letters(key)),
+                  start=ClassicalPoly.constant(c))
         for key, c in p.terms.items()
     )
     assert got == want and not got.is_zero()
@@ -179,17 +181,22 @@ def test_poly_gradings():
     assert mixed.poly_weight() is None
 
 
+def spelled(p):
+    """p's terms keyed by the sorted letter tuples of their keys."""
+    return {cl.letters(key): c for key, c in p.terms.items()}
+
+
 def test_monomial_keys_repeat_variables_by_exponent():
     p = var(0, 1) * var(0, 0) * var(0, 1)
-    assert p.terms == {((0, 0), (0, 1), (0, 1)): 1}
-    assert p.partial(0, 1).terms == {((0, 0), (0, 1)): 2}
-    assert p.partial(0, 0).terms == {((0, 1), (0, 1)): 1}
+    assert spelled(p) == {((0, 0), (0, 1), (0, 1)): 1}
+    assert spelled(p.partial(0, 1)) == {((0, 0), (0, 1)): 2}
+    assert spelled(p.partial(0, 0)) == {((0, 1), (0, 1)): 1}
     assert p.partial(1, 1).is_zero()
     assert p.poly_weight() == 5 and p.families() == [0]
     # QSymbolPoly keys have the same shape, and one product serves both
     assert ClassicalPoly.__dict__["__mul__"] is QSymbolPoly.__dict__["__mul__"]
     q = QSymbolPoly.q(0, 1) * QSymbolPoly.q(0, 0) * QSymbolPoly.q(0, 1)
-    assert q.terms == {(("Q", 0, 0), ("Q", 0, 1), ("Q", 0, 1)): 1}
+    assert spelled(q) == {(("Q", 0, 0), ("Q", 0, 1), ("Q", 0, 1)): 1}
 
 
 def test_rendering():
@@ -200,3 +207,143 @@ def test_rendering():
     assert repr(cubic) == "1*x[0,0]^3x[0,1] + 1*x[0,0]x[0,1]x[1,0]^2"
     q = QSymbolPoly.q(0, 2) * QSymbolPoly.c(0, 1, 3)
     assert "Q[0,2]" in repr(q) and "C[0,1,3]" in repr(q)
+
+
+# -- packed keys -------------------------------------------------------------------
+
+VARIABLES = [(i, j) for i in range(3) for j in range(3)]
+SYMBOLS = [cl.q_symbol(a, b) for a in range(3) for b in range(a, 3)]
+SYMBOLS += [("C", 0, 1, 2), ("C", 0, 1, 3), ("C", 1, 2, 3)]
+
+
+def random_terms(rng, alphabet, nterms, max_degree):
+    """Tuple-key terms over a small alphabet: letters repeat, coefficients are
+    ints and Fractions."""
+    out = {}
+    for _ in range(nterms):
+        key = tuple(sorted(rng.choice(alphabet) for _ in range(rng.randint(0, max_degree))))
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        out[key] = cl._exact(c)
+    return out
+
+
+def packed(cls, terms):
+    return cls({cl.monomial_key(key): c for key, c in terms.items()})
+
+
+@pytest.mark.parametrize("cls,alphabet", [(ClassicalPoly, VARIABLES), (QSymbolPoly, SYMBOLS)],
+                         ids=["ClassicalPoly", "QSymbolPoly"])
+def test_packed_product_matches_tuple_keys(cls, alphabet):
+    rng = random.Random(29)
+    cancelled = 0
+    for _ in range(150):
+        # m u * n v and m v * n u cancel; the random terms come on top
+        u, v = rng.sample(alphabet, 2)
+        m, n = (random_terms(rng, alphabet, 1, 2).popitem()[0] for _ in range(2))
+        c1, c2 = rng.choice([1, -2, Fraction(1, 3)]), rng.choice([-1, 3, Fraction(-3, 2)])
+        a = {tuple(sorted(m + (u,))): c1, tuple(sorted(m + (v,))): c2}
+        b = {tuple(sorted(n + (v,))): c2, tuple(sorted(n + (u,))): -c1}
+        a.update(random_terms(rng, alphabet, rng.randint(0, 5), 3))
+        b.update(random_terms(rng, alphabet, rng.randint(0, 5), 3))
+        want = ref.product(a, b)
+        got = packed(cls, a) * packed(cls, b)
+        # the same terms, in the same order
+        assert [(cl.letters(k), c) for k, c in got.terms.items()] == list(want.items())
+        assert all(type(c) in (int, Fraction) for c in got.terms.values())
+        sums = {}
+        for (k1, c1), (k2, c2) in itertools.product(a.items(), b.items()):
+            k = tuple(sorted(k1 + k2))
+            sums[k] = sums.get(k, 0) + c1 * c2
+        cancelled += 0 in sums.values()
+    assert cancelled > 100
+    x, y = (packed(cls, {(v,): 1}) for v in alphabet[:2])
+    assert spelled((x + y) * (x - y)) == {(alphabet[0],) * 2: 1, (alphabet[1],) * 2: -1}
+
+
+def test_packed_partial_matches_tuple_keys():
+    rng = random.Random(30)
+    for _ in range(60):
+        terms = random_terms(rng, VARIABLES, rng.randint(1, 8), 4)
+        p = packed(ClassicalPoly, terms)
+        for v in VARIABLES + [(5, 7)]:
+            assert spelled(p.partial(*v)) == ref.partial(terms, v), v
+
+
+def test_packed_substitute_matches_tuple_keys():
+    rng = random.Random(31)
+    images = {v: random_terms(rng, VARIABLES, rng.randint(1, 3), 2) for v in VARIABLES}
+    for _ in range(40):
+        terms = random_terms(rng, VARIABLES, rng.randint(1, 5), 3)
+        got = cl._substitute(packed(ClassicalPoly, terms), lambda v: packed(ClassicalPoly, images[v]))
+        assert spelled(got) == ref.substitute(terms, images.__getitem__)
+
+    def image(sym):
+        return spelled(cl.sl2_q(*sym[1:]) if sym[0] == "Q" else cl.sl2_c(*sym[1:]))
+
+    for _ in range(40):
+        terms = random_terms(rng, SYMBOLS, rng.randint(1, 4), 2)
+        want = ref.substitute(terms, image)
+        assert spelled(cl.substitute_sl2(packed(QSymbolPoly, terms))) == want
+
+
+def test_letters_inverts_monomial_key():
+    rng = random.Random(32)
+    for alphabet in (VARIABLES, SYMBOLS):
+        for _ in range(50):
+            key = tuple(sorted(rng.choice(alphabet) for _ in range(rng.randint(0, 6))))
+            assert cl.letters(cl.monomial_key(key)) == key
+    assert cl.monomial_key(()) == ClassicalPoly.unit_key == QSymbolPoly.unit_key == 0
+    assert ClassicalPoly.constant(3).terms == {0: 3}
+
+
+def test_product_refuses_a_degree_past_the_field():
+    def power(e):
+        return ClassicalPoly.wrap({cl.monomial_key([(0, 0)] * e): 1})
+
+    top = power(cl.MAX_DEGREE)
+    assert power(30) * power(cl.MAX_DEGREE - 30) == top
+    assert cl.letters(next(iter(top.terms))) == ((0, 0),) * cl.MAX_DEGREE
+    with pytest.raises(ValueError, match=f"degree {cl.MAX_DEGREE + 1} exceeds"):
+        top * var(1, 0)
+    with pytest.raises(ValueError, match=f"degree {cl.MAX_DEGREE + 2} exceeds"):
+        (top + var(0, 1)) * (var(2, 2) * var(1, 1) + ClassicalPoly.constant(1))
+    with pytest.raises(ValueError, match=f"degree {cl.MAX_DEGREE + 1} exceeds"):
+        cl.monomial_key([(0, 0)] * (cl.MAX_DEGREE + 1))
+    assert (top * ClassicalPoly.zero()).is_zero()
+
+
+def test_repr_of_fixtures_is_unchanged():
+    # the texts printed when keys were sorted tuples of letters
+    assert repr(cl.sl2_c(0, 1, 2)) == (
+        "1*x[0,0]x[1,1]x[2,2] + -1*x[0,0]x[1,2]x[2,1] + -1*x[0,1]x[1,0]x[2,2]"
+        " + 1*x[0,1]x[1,2]x[2,0] + 1*x[0,2]x[1,0]x[2,1] + -1*x[0,2]x[1,1]x[2,0]")
+    assert repr(cl.sl2_q(1, 2)) == "2*x[0,1]x[1,2] + 2*x[0,2]x[1,1] + 1*x[2,1]x[2,2]"
+    assert repr(cl.weyl_q(2, 0, 1) * cl.weyl_q(2, 0, 0)) == (
+        "1*x[0,0]^3x[0,1] + 1*x[0,0]^2x[1,0]x[1,1] + 1*x[0,0]x[0,1]x[1,0]^2 + 1*x[1,0]^3x[1,1]")
+    assert repr(cl.det_relation(2, (0, 1, 2), (0, 1, 3))) == (
+        "1*Q[0,0]Q[1,1]Q[2,3] + -1*Q[0,0]Q[1,2]Q[1,3] + -1*Q[0,1]Q[0,1]Q[2,3]"
+        " + 1*Q[0,1]Q[0,2]Q[1,3] + 1*Q[0,1]Q[0,3]Q[1,2] + -1*Q[0,2]Q[0,3]Q[1,1]")
+    assert repr(cl.sl2_relation_type2(0, 1, 2, 0, 1, 3)) == (
+        "1*C[0,1,2]C[0,1,3] + 1/4*Q[0,0]Q[1,1]Q[2,3] + -1/4*Q[0,0]Q[1,2]Q[1,3]"
+        " + -1/4*Q[0,1]Q[0,1]Q[2,3] + 1/4*Q[0,1]Q[0,2]Q[1,3] + 1/4*Q[0,1]Q[0,3]Q[1,2]"
+        " + -1/4*Q[0,2]Q[0,3]Q[1,1]")
+    assert repr(cl.sl2_relation_type1(3, 0, 0, 1, 2)) == (
+        "1*C[0,1,2]Q[0,3] + -1*C[0,1,3]Q[0,2] + 1*C[0,2,3]Q[0,1] + -1*C[1,2,3]Q[0,0]")
+    assert repr(QSymbolPoly.q(0, 2) * QSymbolPoly.c(0, 1, 3) * QSymbolPoly.q(0, 2)) == (
+        "1*C[0,1,3]Q[0,2]Q[0,2]")
+    assert repr(cl.polarization(1, 0, cl.sl2_c(0, 2, 3)).scale(Fraction(-1, 3))) == (
+        "-1/3*x[0,1]x[1,2]x[2,3] + 1/3*x[0,1]x[1,3]x[2,2] + 1/3*x[0,2]x[1,1]x[2,3]"
+        " + -1/3*x[0,2]x[1,3]x[2,1] + -1/3*x[0,3]x[1,1]x[2,2] + 1/3*x[0,3]x[1,2]x[2,1]")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ClassicalPoly.variable(-2, 3),
+    lambda: QSymbolPoly.c(-1, 0, 2),
+    lambda: cl.sl2_q(-1, 0),
+    lambda: cl.sl2_c(-1, 0, 1),
+    lambda: cl.weyl_q(2, 0, -1),
+    lambda: QSymbolPoly.q(-1, 0),
+], ids=["variable", "QSymbolPoly.c", "sl2_q", "sl2_c", "weyl_q", "q_symbol"])
+def test_negative_indices_are_refused(build):
+    with pytest.raises(ValueError, match="^indices must be nonnegative$"):
+        build()

@@ -135,6 +135,11 @@ def test_remainder_direct_resource_bound(capsys):
     code, out, err = run(capsys, ["remainder-direct", "--n", "1", "--I", "0,9", "--J", "0,9"])
     assert code == 2 and out == ""
     assert "error[ResourceError]: weight index m = 20 exceeds the bound 18" in err
+    assert "--allow-large" in err
+    code, out, _ = run(
+        capsys, ["remainder-direct", "--n", "1", "--I", "0,9", "--J", "0,9", "--allow-large"]
+    )
+    assert code == 0 and out.strip() == "-1/220"
 
 
 def test_unknown_algebra_exit_code(capsys):

@@ -458,7 +458,7 @@ def _factorial_adjusted_substitute(p, n):
     out = cl.ClassicalPoly.zero()
     for key, c in p.terms.items():
         term = cl.ClassicalPoly.constant(c)
-        for sym in key:
+        for sym in cl.letters(key):
             a, b = sym[1], sym[2]
             term = term * cl.weyl_q(n, a, b).scale(
                 math.factorial(a) * math.factorial(b)
@@ -498,6 +498,40 @@ def test_remainder_direct_shares_one_dictionary_per_rank():
         tail = ob.quantum_correction(det_relation(1, I, J), d).restrict_degree(d, 2)
         assert ob.remainder_direct(1, I, J) == ob.pr_coefficient(tail, m).evaluate_at(1)
     assert list(ob._OMEGA_CACHE) == [1]
+
+
+def test_remainder_direct_allow_large_rebuilds_the_dictionary_once(monkeypatch):
+    from voa.remainder import r1_closed_form
+
+    ob._OMEGA_CACHE.clear()
+    with pytest.raises(ResourceError, match="m = 20 exceeds the bound 18; pass allow_large=True"):
+        ob.remainder_direct(1, (0, 9), (0, 9))
+    assert ob.remainder_direct(1, (0, 1), (0, 3)) == r1_closed_form((0, 1), (0, 3))
+    built = []
+    plain = ob.omega_dictionary
+    monkeypatch.setattr(ob, "omega_dictionary", lambda n, w: built.append(w) or plain(n, w))
+    cases = [((0, 9), (0, 9)), ((0, 1), (0, 3)), ((1, 9), (0, 8)), ((0, 5), (0, 11))]
+    for I, J in cases:
+        got = ob.remainder_direct(1, I, J, allow_large=True)
+        assert got == r1_closed_form(I, J), (I, J)
+    # m = 20 rebuilt the rank's dictionary to weight 22; every later call reused it
+    assert built == [22]
+    assert ob.omega_symbol(0, 20) in ob._OMEGA_CACHE[1].entries
+
+
+def test_each_letter_gets_one_leading_symbol(monkeypatch):
+    calls = []
+    plain = vc.leading_symbol
+    monkeypatch.setattr(vc, "leading_symbol", lambda state: calls.append(state) or plain(state))
+    d = ob.omega_dictionary(1, 10)
+    for I, J in [((0, 1), (0, 1)), ((0, 1), (0, 3)), ((0, 2), (1, 3)), ((1, 2), (0, 3))]:
+        ob.quantum_correction(det_relation(1, I, J), d)
+    assert d.closed_in_gr(10)
+    # closed_in_gr and every exact-degree stage share the dictionary's symbols
+    assert len(calls) == len(d._symbols) > 0
+    assert d._symbol("Om[0,0]", 0) is d._symbols["Om[0,0]", 0]
+    d.add(ob.omega_symbol(0, 10), ob.omega(1, 0, 10))
+    assert not d._symbols
 
 
 def test_pr_coefficient_examples():

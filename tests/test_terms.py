@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voa import orbifold as ob
-from voa.classical import ClassicalPoly, QSymbolPoly
+from voa.classical import ClassicalPoly, QSymbolPoly, monomial_key
 from voa.orbifold import FormalNOP
 from voa.scalars import K, LevelScalar
 from voa.terms import merge, sort_sign, weighted_multisets
@@ -16,8 +16,9 @@ from voa.vertexcore import State
 CONTAINERS = [
     (State, LevelScalar, ((0, 2), (1, 1)), ((0, 1),)),
     (FormalNOP, LevelScalar, (("J[0]", 1),), (("J[0]", 0), ("J[2]", 0))),
-    (ClassicalPoly, Fraction, ((0, 1), (0, 1)), ((0, 0), (1, 2))),
-    (QSymbolPoly, Fraction, (("Q", 0, 1),), (("C", 0, 1, 2), ("Q", 0, 0))),
+    (ClassicalPoly, Fraction, monomial_key(((0, 1), (0, 1))), monomial_key(((0, 0), (1, 2)))),
+    (QSymbolPoly, Fraction, monomial_key((("Q", 0, 1),)),
+     monomial_key((("C", 0, 1, 2), ("Q", 0, 0)))),
 ]
 
 
@@ -57,7 +58,7 @@ def test_linear_structure(cls, ctype, k1, k2):
 def test_different_containers_never_equal():
     state, nop = State({(): 1}), FormalNOP({(): 1})
     assert state.terms == nop.terms and state != nop
-    poly, qpoly = ClassicalPoly({(): 1}), QSymbolPoly({(): 1})
+    poly, qpoly = ClassicalPoly({0: 1}), QSymbolPoly({0: 1})
     assert poly.terms == qpoly.terms and poly != qpoly
     assert ClassicalPoly.constant(1) == poly
 
@@ -77,7 +78,7 @@ def test_merge_cancels_in_place():
 def test_sum_matches_left_fold(cls, ctype, k1, k2):
     a = sample(cls, ctype, k1, k2)
     b = cls({k2: 5, k1: 1})
-    items = [a, b, -a, cls({(): 3}), a.scale(2), -b]
+    items = [a, b, -a, cls.constant(3), a.scale(2), -b]
     for n in range(len(items) + 1):
         want = functools.reduce(operator.add, items[:n], cls.zero())
         got = cls.sum(iter(items[:n]))
