@@ -42,7 +42,6 @@ from .vertexcore import (
 )
 from .classical import (
     ClassicalPoly,
-    QSymbolPoly,
     d_ring_derivative,
     det_relation,
     dring_contains,

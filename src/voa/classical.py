@@ -4,21 +4,23 @@ The ring is Sym of countably many copies of the base module, with x_{i,j}
 the i-th coordinate of the j-th copy.  Polynomial weight counts x_{i,j} with
 weight j+1, matching the vertex-algebra weight of the corresponding state.
 
-Two symbol alphabets ride on top: the orthogonal quadratics Q_{a,b} and the
-adjoint-sl2 cubics C_{klm}, with their determinantal relation families.
+The same ring holds the symbols of the invariants: the orthogonal
+quadratics Q_{a,b} and the adjoint-sl2 cubics C_{klm}, with their
+determinantal relation families.  ``substitute`` and ``substitute_sl2`` are
+the ring maps from the symbols into the x_{i,j}.
 
-Both rings key a monomial by one packed integer (packed exponent vectors:
+A monomial is keyed by one packed integer (packed exponent vectors:
 Monagan & Pearce, *Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors*, CASC 2007).  Its bits [0, W) hold the total
 degree, and letter number t has its exponent in bits [W(t+1), W(t+2)),
 with W = ``FIELD_BITS``; the empty monomial is 0.  So the product of two
 monomials is the sum of their keys, and a derivative subtracts the key of
 one letter.  Letters are the variables (i, j) and the symbols
-("Q", a, b) and ("C", k, l, m); one registry, shared by both rings, numbers
-them densely in the order of first use, which keeps the keys short.  Keys
-are therefore local to the process: ``letters(key)`` spells a key out as
-the sorted tuple of its letters, each repeated as often as its exponent,
-and everything that orders or prints monomials goes through it.  A product
+("Q", a, b) and ("C", k, l, m); one registry numbers them densely in
+the order of first use, which keeps the keys short.  Keys are therefore
+local to the process: ``letters(key)`` spells a key out as the sorted
+tuple of its letters, each repeated as often as its exponent, and
+everything that orders or prints monomials goes through it.  A product
 whose degree would reach 2^W (``MAX_DEGREE`` + 1) raises ``ValueError``
 before any field could overflow into the next; the check reads the degree
 field of each factor's keys, O(n + m) against the product's O(n m).  W = 6
@@ -94,43 +96,14 @@ def _check_indices(*indices):
         raise ValueError("indices must be nonnegative")
 
 
-def _product(self, other):
-    """Product of two polynomials over packed keys: each key product is a sum.
-
-    Terms are accumulated as ``terms.merge`` would, one row of ``self`` at a
-    time, so the keys come in the same order.
-    """
-    a, b = self.terms, other.terms
-    if not (a and b):
-        return self.wrap({})
-    _check_degree(max(map(MAX_DEGREE.__and__, a)) + max(map(MAX_DEGREE.__and__, b)))
-    if len(a) == 1:
-        # k1 + k2 is distinct for distinct k2: no collisions
-        ((k1, c1),) = a.items()
-        return self.wrap({k1 + k2: c1 * c2 for k2, c2 in b.items()})
-    out = {}
-    get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            s = get(k)
-            if s is None:
-                out[k] = c1 * c2
-            else:
-                s += c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-    return self.wrap(out)
-
-
 class ClassicalPoly(Terms):
-    """Exact polynomial in the variables x_{i,j}; terms map monomial keys to Q.
+    """Exact polynomial in the variables x_{i,j} or in the symbols Q_{a,b}
+    and C_{klm}; terms map monomial keys to Q.
 
-    A key is the packed integer of the monomial, over the letters (i, j).
-    Coefficients are exact rationals: ``int`` when ``coerce`` sees an
-    integral value, otherwise ``Fraction``.
+    A key is the packed integer of the monomial, over the letters (i, j),
+    ("Q", a, b) and ("C", k, l, m); no monomial mixes variables and
+    symbols.  Coefficients are exact rationals: ``int`` when ``coerce`` sees
+    an integral value, otherwise ``Fraction``.
     """
 
     __slots__ = ()
@@ -143,7 +116,46 @@ class ClassicalPoly(Terms):
         _check_indices(i, j)
         return ClassicalPoly.wrap({letter_key((i, j)): 1})
 
-    __mul__ = _product
+    @staticmethod
+    def q(a: int, b: int) -> "ClassicalPoly":
+        return ClassicalPoly.wrap({letter_key(q_symbol(a, b)): 1})
+
+    @staticmethod
+    def c(k: int, l: int, m: int) -> "ClassicalPoly":
+        """The symbol C_{klm}, alternating in its indices, so zero on a repeat."""
+        _check_indices(k, l, m)
+        sign, order = sort_sign((k, l, m))
+        return ClassicalPoly.wrap({letter_key(("C",) + order): sign} if sign else {})
+
+    def __mul__(self, other):
+        """Product over packed keys: each key product is a sum.
+
+        Terms are accumulated as ``terms.merge`` would, one row of ``self`` at
+        a time, so the keys come in the same order.
+        """
+        a, b = self.terms, other.terms
+        if not (a and b):
+            return self.wrap({})
+        _check_degree(max(map(MAX_DEGREE.__and__, a)) + max(map(MAX_DEGREE.__and__, b)))
+        if len(a) == 1:
+            # k1 + k2 is distinct for distinct k2: no collisions
+            ((k1, c1),) = a.items()
+            return self.wrap({k1 + k2: c1 * c2 for k2, c2 in b.items()})
+        out = {}
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                s = get(k)
+                if s is None:
+                    out[k] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return self.wrap(out)
 
     # -- gradings ------------------------------------------------------------
 
@@ -183,10 +195,13 @@ class ClassicalPoly(Terms):
             return "0"
         parts = []
         for spelled, c in sorted((letters(key), c) for key, c in self.terms.items()):
-            factors = "".join(
-                f"x[{i},{j}]" + (f"^{e}" if e > 1 else "")
-                for (i, j), e in ((v, len(list(g))) for v, g in itertools.groupby(spelled))
-            )
+            factors = ""
+            for v, g in itertools.groupby(spelled):
+                e = len(list(g))
+                if isinstance(v[0], str):  # a symbol: repeats are spelled out
+                    factors += f"{v[0]}[{','.join(map(str, v[1:]))}]" * e
+                else:
+                    factors += f"x[{v[0]},{v[1]}]" + (f"^{e}" if e > 1 else "")
             parts.append(f"{c}" if not factors else f"{c}*{factors}")
         return " + ".join(parts)
 
@@ -217,20 +232,26 @@ def sl2_c(k: int, l: int, m: int) -> ClassicalPoly:
     """Adjoint cubic: the 3x3 determinant with rows (h, x, y) at orders k, l, m."""
     if not (k < l < m):
         raise ValueError("need k < l < m")
-    rows = (k, l, m)
     cols = (SL2_H, SL2_X, SL2_Y)
-    return _determinant(ClassicalPoly, 3, lambda r, c: ClassicalPoly.variable(cols[c], rows[r]))
+    return _determinant([[ClassicalPoly.variable(c, r) for c in cols] for r in (k, l, m)])
 
 
-def _determinant(cls, n, entry):
-    """Leibniz expansion of the n x n determinant whose (r, c) entry is entry(r, c)."""
-    return cls.sum(
-        math.prod((entry(r, perm[r]) for r in range(n)), start=cls.constant(sort_sign(perm)[0]))
-        for perm in itertools.permutations(range(n))
+@functools.cache
+def _signed_permutations(n):
+    """Every permutation of range(n) with its sign, in lexicographic order."""
+    return tuple((perm, sort_sign(perm)[0]) for perm in itertools.permutations(range(n)))
+
+
+def _determinant(entries):
+    """Leibniz expansion of the determinant of a square matrix (a list of rows)."""
+    n = len(entries)
+    return ClassicalPoly.sum(
+        math.prod((entries[r][perm[r]] for r in range(n)), start=ClassicalPoly.constant(sign))
+        for perm, sign in _signed_permutations(n)
     )
 
 
-# -- the symbol algebra: Q_{a,b} and C_{klm} --------------------------------------
+# -- the symbols Q_{a,b} and C_{klm}, and their relations --------------------------
 
 
 def q_symbol(a: int, b: int):
@@ -239,54 +260,7 @@ def q_symbol(a: int, b: int):
     return ("Q", min(a, b), max(a, b))
 
 
-def c_symbol(k: int, l: int, m: int):
-    """Canonical C symbol with the permutation sign, or (None, 0) on repeats."""
-    _check_indices(k, l, m)
-    sign, order = sort_sign((k, l, m))
-    if not sign:
-        return None, 0
-    return ("C",) + order, sign
-
-
-class QSymbolPoly(Terms):
-    """Polynomial in the abstract symbols Q_{a,b} (and C_{klm} in sl2 mode).
-
-    A key is the packed integer of the monomial, over the letters
-    ("Q", a, b) and ("C", k, l, m).  Coefficients are exact rationals:
-    ``int`` when ``coerce`` sees an integral value, otherwise ``Fraction``.
-    """
-
-    __slots__ = ()
-
-    coerce = staticmethod(_exact)
-    unit_key = 0
-
-    @staticmethod
-    def q(a, b):
-        return QSymbolPoly.wrap({letter_key(q_symbol(a, b)): 1})
-
-    @staticmethod
-    def c(k, l, m):
-        sym, sign = c_symbol(k, l, m)
-        if sign == 0:
-            return QSymbolPoly.zero()
-        return QSymbolPoly.wrap({letter_key(sym): sign})
-
-    __mul__ = _product
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for spelled, c in sorted((letters(key), c) for key, c in self.terms.items()):
-            factors = "".join(
-                f"{s[0]}[{','.join(str(t) for t in s[1:])}]" for s in spelled
-            )
-            parts.append(f"{c}" if not factors else f"{c}*{factors}")
-        return " + ".join(parts)
-
-
-def det_relation(n: int, I, J) -> QSymbolPoly:
+def det_relation(n: int, I, J) -> ClassicalPoly:
     """The (n+1)x(n+1) determinant in Q symbols on strictly increasing lists."""
     I, J = tuple(I), tuple(J)
     if len(I) != n + 1 or len(J) != n + 1:
@@ -297,16 +271,16 @@ def det_relation(n: int, I, J) -> QSymbolPoly:
     return _q_determinant(I, J)
 
 
-def _q_determinant(rows, cols) -> QSymbolPoly:
+def _q_determinant(rows, cols) -> ClassicalPoly:
     """The determinant of the matrix (Q_{a,b}) with a in rows and b in cols."""
-    return _determinant(QSymbolPoly, len(rows), lambda r, c: QSymbolPoly.q(rows[r], cols[c]))
+    return _determinant([[ClassicalPoly.q(a, b) for b in cols] for a in rows])
 
 
 def _substitute(p, image) -> ClassicalPoly:
     """The ring homomorphism determined by each letter's image(letter).
 
-    p is a QSymbolPoly (letters are symbols) or a ClassicalPoly (letters are
-    variables (i, j)); image is called once per distinct letter of p.
+    p's letters are symbols or variables (i, j), and image(letter) is a
+    ClassicalPoly; image is called once per distinct letter of p.
     """
     spelled = [(letters(key), c) for key, c in p.terms.items()]
     images = {v: image(v) for v in dict.fromkeys(itertools.chain.from_iterable(s for s, _ in spelled))}
@@ -316,7 +290,7 @@ def _substitute(p, image) -> ClassicalPoly:
     )
 
 
-def substitute(p: QSymbolPoly, n: int) -> ClassicalPoly:
+def substitute(p: ClassicalPoly, n: int) -> ClassicalPoly:
     """The homomorphism Q_{a,b} -> q_{a,b} into the n-family orthogonal ring."""
 
     def image(sym):
@@ -327,12 +301,12 @@ def substitute(p: QSymbolPoly, n: int) -> ClassicalPoly:
     return _substitute(p, image)
 
 
-def substitute_sl2(p: QSymbolPoly) -> ClassicalPoly:
+def substitute_sl2(p: ClassicalPoly) -> ClassicalPoly:
     """Q_{a,b} -> adjoint quadratic, C_{klm} -> adjoint cubic."""
     return _substitute(p, lambda sym: sl2_q(*sym[1:]) if sym[0] == "Q" else sl2_c(*sym[1:]))
 
 
-def sl2_relation_type1(i, j, k, l, m) -> QSymbolPoly:
+def sl2_relation_type1(i, j, k, l, m) -> ClassicalPoly:
     """The quadratic-cubic syzygy: alternating insertion of i into the cubic.
 
     q_{ij} c_{klm} - q_{kj} c_{ilm} + q_{lj} c_{ikm} - q_{mj} c_{ikl}; this is
@@ -340,17 +314,17 @@ def sl2_relation_type1(i, j, k, l, m) -> QSymbolPoly:
     and vanishes under substitution for arbitrary index tuples.
     """
     return (
-        QSymbolPoly.q(i, j) * QSymbolPoly.c(k, l, m)
-        - QSymbolPoly.q(k, j) * QSymbolPoly.c(i, l, m)
-        + QSymbolPoly.q(l, j) * QSymbolPoly.c(i, k, m)
-        - QSymbolPoly.q(m, j) * QSymbolPoly.c(i, k, l)
+        ClassicalPoly.q(i, j) * ClassicalPoly.c(k, l, m)
+        - ClassicalPoly.q(k, j) * ClassicalPoly.c(i, l, m)
+        + ClassicalPoly.q(l, j) * ClassicalPoly.c(i, k, m)
+        - ClassicalPoly.q(m, j) * ClassicalPoly.c(i, k, l)
     )
 
 
-def sl2_relation_type2(i, j, k, l, m, n) -> QSymbolPoly:
+def sl2_relation_type2(i, j, k, l, m, n) -> ClassicalPoly:
     """c_{ijk} c_{lmn} + 1/4 det of the 3x3 matrix q_{(i,j,k),(l,m,n)}."""
     det = _q_determinant((i, j, k), (l, m, n))
-    return QSymbolPoly.c(i, j, k) * QSymbolPoly.c(l, m, n) + det.scale(Fraction(1, 4))
+    return ClassicalPoly.c(i, j, k) * ClassicalPoly.c(l, m, n) + det.scale(Fraction(1, 4))
 
 
 # -- polarization and invariance ---------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classical as cl, linalg, vertexcore as vc
-from .classical import ClassicalPoly, QSymbolPoly, det_relation
+from .classical import ClassicalPoly, det_relation
 from .errors import ALLOW_LARGE, DescentStuck, ParityError, check_budget
 from .liedata import ActionSpec, LieSpec, _columns, abelian, sl2_spec
 from .scalars import ONE, ZERO, LevelScalar, rational_roots, rational_to_str
@@ -54,10 +54,6 @@ class FormalNOP(Terms):
         self.terms = {}
         for mono, c in (terms or {}).items():
             merge(self.terms, {tuple(sorted(mono)): self.coerce(c)})
-
-    @staticmethod
-    def single(symbol: str, deriv: int = 0, coeff=1) -> "FormalNOP":
-        return FormalNOP({((symbol, deriv),): coeff})
 
     def restrict_degree(self, dictionary, max_degree: int) -> "FormalNOP":
         return self.wrap({
@@ -101,7 +97,7 @@ class GeneratorDictionary:
         self.spec = spec
         self.entries = {}
         self._deriv_cache = {}
-        #: (weight, max_degree, exact_degree) -> (candidates, linalg.factor
+        #: (weight, max_degree, graded) -> (candidates, linalg.factor
         #: solver of their columns), filled by express_in_generators
         self._stages = {}
         #: filled by closed_in_gr: symbol -> whether the top of its derivative
@@ -350,23 +346,25 @@ def enumerate_nop_monomials(dictionary: GeneratorDictionary, weight: int, max_de
 
 
 def express_in_generators(target: State, dictionary: GeneratorDictionary,
-                          max_degree: int, exact_degree: int = None):
+                          max_degree: int, graded: bool = False):
     """Solve target = normally ordered polynomial in the dictionary, or None.
 
     The linear system is solved exactly with deterministic pivoting; free
-    coefficients are set to zero.  With exact_degree set, only the
-    degree-exact_degree component of each evaluation is matched against target
-    (the descent step of the quantum-correction algorithm).  Such a stage is
-    built in gr, the ``ClassicalPoly`` ring: a column is the product of its
-    letters' leading symbols, over Q, and the target's monomials become their
-    ``vertexcore.symbol_key``, so no candidate is Wick-evaluated; every
-    letter's top must be constant in k (a ValueError names the generator).
-    When the dictionary is ``closed_in_gr`` up to the target's weight, the
-    derivative letters add columns but nothing to their span, so such a
-    stage takes derivative-free candidates only; otherwise it takes them all.
+    coefficients are set to zero.  A ``graded`` stage matches only the
+    degree-max_degree component of each evaluation against a target of
+    exactly that degree (the descent step of the quantum-correction
+    algorithm); a target monomial of another length raises ``ValueError``
+    naming the lengths.  Such a stage is built in gr, the ``ClassicalPoly``
+    ring: a column is the product of its letters' leading symbols, over Q,
+    and the target's monomials become their ``vertexcore.symbol_key``, so no
+    candidate is Wick-evaluated; every letter's top must be constant in k
+    (a ValueError names the generator).  When the dictionary is
+    ``closed_in_gr`` up to the target's weight, the derivative letters add
+    columns but nothing to their span, so such a stage takes
+    derivative-free candidates only; otherwise it takes them all.
 
-    The system's matrix depends only on (weight, max_degree, exact_degree),
-    so the dictionary keeps each such stage: its candidate monomials and a
+    The system's matrix depends only on (weight, max_degree, graded), so the
+    dictionary keeps each such stage: its candidate monomials and a
     ``linalg.factor`` solver of their columns.  The first call of a stage
     builds the columns and eliminates; a later call only replays the
     elimination on its target.  Adding a generator empties the stages.
@@ -376,25 +374,30 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
         raise ValueError("target must be weight-homogeneous")
     if target.is_zero():
         return FormalNOP.zero()
-    key = (w, max_degree, exact_degree)
+    if graded:
+        lengths = {len(mono) for mono in target.terms}
+        if lengths != {max_degree}:
+            raise ValueError(f"a graded stage of degree {max_degree} got target monomials"
+                             f" of lengths {sorted(lengths)}")
+    key = (w, max_degree, graded)
     stage = dictionary._stages.get(key)
     if stage is None:
-        if exact_degree is None:
-            candidates = enumerate_nop_monomials(dictionary, w, max_degree)
-            columns = [evaluate_nop(FormalNOP({mono: ONE}), dictionary).terms
-                       for mono in candidates]
-        else:
+        if graded:
             derivatives = not dictionary.closed_in_gr(w)
             candidates = [
                 m for m in enumerate_nop_monomials(dictionary, w, max_degree, derivatives)
-                if dictionary.monomial_degree(m) == exact_degree
+                if dictionary.monomial_degree(m) == max_degree
             ]
             columns = [math.prod(dictionary._symbol(*letter) for letter in mono).terms
+                       for mono in candidates]
+        else:
+            candidates = enumerate_nop_monomials(dictionary, w, max_degree)
+            columns = [evaluate_nop(FormalNOP({mono: ONE}), dictionary).terms
                        for mono in candidates]
         stage = dictionary._stages[key] = (candidates, linalg.factor(columns))
     candidates, solver = stage
     rhs = target.terms
-    if exact_degree is not None:
+    if graded:
         rhs = {vc.symbol_key(mono): c for mono, c in rhs.items()}
     sol = solver(rhs, ZERO)
     if sol is None:
@@ -411,13 +414,13 @@ def _symbol_name(sym) -> str:
     return f"Ct[{sym[1]},{sym[2]},{sym[3]}]"
 
 
-def normal_ordering(rel: QSymbolPoly) -> FormalNOP:
+def normal_ordering(rel: ClassicalPoly) -> FormalNOP:
     """The canonical normal ordering: each symbol monomial becomes a Wick monomial."""
     return FormalNOP({tuple((_symbol_name(sym), 0) for sym in cl.letters(key)): c
                       for key, c in rel.terms.items()})
 
 
-def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> FormalNOP:
+def quantum_correction(rel: ClassicalPoly, dictionary: GeneratorDictionary) -> FormalNOP:
     """Extend a vanishing classical relation to an exactly vanishing NOP.
 
     Starting from a normal ordering of rel, repeatedly express the top
@@ -435,9 +438,7 @@ def quantum_correction(rel: QSymbolPoly, dictionary: GeneratorDictionary) -> For
             raise DescentStuck(d)
         last_degree = d
         piece = residual.degree_component(d)
-        correction = express_in_generators(
-            piece, dictionary, max_degree=d, exact_degree=d
-        )
+        correction = express_in_generators(piece, dictionary, d, graded=True)
         if correction is None:
             raise DescentStuck(d)
         result = result - correction

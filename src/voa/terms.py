@@ -1,13 +1,13 @@
 """Sparse term maps: the linear structure shared by every container.
 
-A state, a formal normally ordered polynomial, a classical polynomial and a
-polynomial in the Q/C symbols are each a finite map from monomial keys to
-exact coefficients.  The map is a dict that never holds a zero value, and
-every operation drops the terms that cancel.  Subclasses supply their keys
+A state, a formal normally ordered polynomial and a classical polynomial
+(in the variables or in the Q/C symbols) are each a finite map from
+monomial keys to exact coefficients.  The map is a dict that never holds
+a zero value, and every operation drops the terms that cancel.  Subclasses supply their keys
 (with ``unit_key``, the key of the empty monomial), their products and
 their rendering; ``coerce`` turns an input coefficient
 (an int, say) into the subclass's coefficient type.  The classical
-containers coerce to ``int`` or ``Fraction``, and their arithmetic may
+polynomials coerce to ``int`` or ``Fraction``, and their arithmetic may
 leave an integral ``Fraction`` (``Fraction(3, 2) * 2``), which compares,
 hashes and prints like the ``int``.
 

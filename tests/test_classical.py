@@ -8,7 +8,7 @@ import pytest
 import tuple_reference as ref
 from voa import classical as cl
 from voa import liedata
-from voa.classical import ClassicalPoly, QSymbolPoly
+from voa.classical import ClassicalPoly
 
 
 def var(i, j):
@@ -37,7 +37,7 @@ def test_sl2_c_shape():
 
 def test_det_relation_2x2():
     rel = cl.det_relation(1, (0, 1), (0, 1))
-    q = QSymbolPoly.q
+    q = ClassicalPoly.q
     assert rel == q(0, 0) * q(1, 1) - q(0, 1) * q(0, 1)
     assert cl.substitute(rel, 1).is_zero()
     with pytest.raises(ValueError):
@@ -49,6 +49,24 @@ def test_det_relations_vanish_sample(n):
     for I in itertools.combinations(range(4), n + 1):
         for J in itertools.combinations(range(4), n + 1):
             assert cl.substitute(cl.det_relation(n, I, J), n).is_zero()
+
+
+def test_determinant_builds_each_entry_once(monkeypatch):
+    # a 3x3 determinant: nine Q symbols, and every sign read from the table
+    cl.det_relation(2, (0, 1, 2), (0, 1, 2))
+    calls = {"q": 0, "sort_sign": 0}
+
+    def counted(name, plain):
+        def wrapper(*args):
+            calls[name] += 1
+            return plain(*args)
+        return wrapper
+
+    monkeypatch.setattr(ClassicalPoly, "q", staticmethod(counted("q", ClassicalPoly.q)))
+    monkeypatch.setattr(cl, "sort_sign", counted("sort_sign", cl.sort_sign))
+    rel = cl.det_relation(2, (0, 1, 2), (0, 1, 3))
+    assert calls == {"q": 9, "sort_sign": 0}
+    assert len(rel.terms) == 6 and cl.substitute(rel, 2).is_zero()
 
 
 def test_det_relation_nonzero_as_symbols():
@@ -74,9 +92,9 @@ def test_sl2_relations_vanish_sample():
 
 
 def test_c_symbol_antisymmetry():
-    assert QSymbolPoly.c(1, 0, 2) == QSymbolPoly.c(0, 1, 2).scale(-1)
-    assert QSymbolPoly.c(2, 0, 1) == QSymbolPoly.c(0, 1, 2)
-    assert QSymbolPoly.c(0, 0, 2).is_zero()
+    assert ClassicalPoly.c(1, 0, 2) == ClassicalPoly.c(0, 1, 2).scale(-1)
+    assert ClassicalPoly.c(2, 0, 1) == ClassicalPoly.c(0, 1, 2)
+    assert ClassicalPoly.c(0, 0, 2).is_zero()
 
 
 def test_polarization_examples():
@@ -163,7 +181,7 @@ def test_substitute_twice_leaves_shared_images_unchanged():
     assert cl.weyl_q(3, 0, 1) is cl.weyl_q(3, 0, 1)
     det = cl.det_relation(2, (0, 1, 2), (0, 1, 3))
     syzygy = cl.sl2_relation_type1(0, 1, 0, 1, 2)
-    products = (QSymbolPoly.c(0, 1, 2) * QSymbolPoly.q(0, 1)).scale(Fraction(-1, 3))
+    products = (ClassicalPoly.c(0, 1, 2) * ClassicalPoly.q(0, 1)).scale(Fraction(-1, 3))
     for rel, sub in ((det, lambda p: cl.substitute(p, 3)), (syzygy, cl.substitute_sl2),
                      (products, cl.substitute_sl2)):
         first, second = sub(rel), sub(rel)
@@ -193,9 +211,8 @@ def test_monomial_keys_repeat_variables_by_exponent():
     assert spelled(p.partial(0, 0)) == {((0, 1), (0, 1)): 1}
     assert p.partial(1, 1).is_zero()
     assert p.poly_weight() == 5 and p.families() == [0]
-    # QSymbolPoly keys have the same shape, and one product serves both
-    assert ClassicalPoly.__dict__["__mul__"] is QSymbolPoly.__dict__["__mul__"]
-    q = QSymbolPoly.q(0, 1) * QSymbolPoly.q(0, 0) * QSymbolPoly.q(0, 1)
+    # symbol keys have the same shape
+    q = ClassicalPoly.q(0, 1) * ClassicalPoly.q(0, 0) * ClassicalPoly.q(0, 1)
     assert spelled(q) == {(("Q", 0, 0), ("Q", 0, 1), ("Q", 0, 1)): 1}
 
 
@@ -205,7 +222,7 @@ def test_rendering():
     x00, x01, x10 = var(0, 0), var(0, 1), var(1, 0)
     cubic = x00 * x01 * x10 * x10 + x00 * x00 * x00 * x01
     assert repr(cubic) == "1*x[0,0]^3x[0,1] + 1*x[0,0]x[0,1]x[1,0]^2"
-    q = QSymbolPoly.q(0, 2) * QSymbolPoly.c(0, 1, 3)
+    q = ClassicalPoly.q(0, 2) * ClassicalPoly.c(0, 1, 3)
     assert "Q[0,2]" in repr(q) and "C[0,1,3]" in repr(q)
 
 
@@ -227,13 +244,13 @@ def random_terms(rng, alphabet, nterms, max_degree):
     return out
 
 
-def packed(cls, terms):
-    return cls({cl.monomial_key(key): c for key, c in terms.items()})
+def packed(terms):
+    return ClassicalPoly({cl.monomial_key(key): c for key, c in terms.items()})
 
 
-@pytest.mark.parametrize("cls,alphabet", [(ClassicalPoly, VARIABLES), (QSymbolPoly, SYMBOLS)],
-                         ids=["ClassicalPoly", "QSymbolPoly"])
-def test_packed_product_matches_tuple_keys(cls, alphabet):
+@pytest.mark.parametrize("alphabet", [VARIABLES, SYMBOLS],
+                         ids=["ClassicalPoly", "ClassicalPoly-symbols"])
+def test_packed_product_matches_tuple_keys(alphabet):
     rng = random.Random(29)
     cancelled = 0
     for _ in range(150):
@@ -246,7 +263,7 @@ def test_packed_product_matches_tuple_keys(cls, alphabet):
         a.update(random_terms(rng, alphabet, rng.randint(0, 5), 3))
         b.update(random_terms(rng, alphabet, rng.randint(0, 5), 3))
         want = ref.product(a, b)
-        got = packed(cls, a) * packed(cls, b)
+        got = packed(a) * packed(b)
         # the same terms, in the same order
         assert [(cl.letters(k), c) for k, c in got.terms.items()] == list(want.items())
         assert all(type(c) in (int, Fraction) for c in got.terms.values())
@@ -256,7 +273,7 @@ def test_packed_product_matches_tuple_keys(cls, alphabet):
             sums[k] = sums.get(k, 0) + c1 * c2
         cancelled += 0 in sums.values()
     assert cancelled > 100
-    x, y = (packed(cls, {(v,): 1}) for v in alphabet[:2])
+    x, y = (packed({(v,): 1}) for v in alphabet[:2])
     assert spelled((x + y) * (x - y)) == {(alphabet[0],) * 2: 1, (alphabet[1],) * 2: -1}
 
 
@@ -264,7 +281,7 @@ def test_packed_partial_matches_tuple_keys():
     rng = random.Random(30)
     for _ in range(60):
         terms = random_terms(rng, VARIABLES, rng.randint(1, 8), 4)
-        p = packed(ClassicalPoly, terms)
+        p = packed(terms)
         for v in VARIABLES + [(5, 7)]:
             assert spelled(p.partial(*v)) == ref.partial(terms, v), v
 
@@ -274,7 +291,7 @@ def test_packed_substitute_matches_tuple_keys():
     images = {v: random_terms(rng, VARIABLES, rng.randint(1, 3), 2) for v in VARIABLES}
     for _ in range(40):
         terms = random_terms(rng, VARIABLES, rng.randint(1, 5), 3)
-        got = cl._substitute(packed(ClassicalPoly, terms), lambda v: packed(ClassicalPoly, images[v]))
+        got = cl._substitute(packed(terms), lambda v: packed(images[v]))
         assert spelled(got) == ref.substitute(terms, images.__getitem__)
 
     def image(sym):
@@ -283,7 +300,7 @@ def test_packed_substitute_matches_tuple_keys():
     for _ in range(40):
         terms = random_terms(rng, SYMBOLS, rng.randint(1, 4), 2)
         want = ref.substitute(terms, image)
-        assert spelled(cl.substitute_sl2(packed(QSymbolPoly, terms))) == want
+        assert spelled(cl.substitute_sl2(packed(terms))) == want
 
 
 def test_letters_inverts_monomial_key():
@@ -292,7 +309,7 @@ def test_letters_inverts_monomial_key():
         for _ in range(50):
             key = tuple(sorted(rng.choice(alphabet) for _ in range(rng.randint(0, 6))))
             assert cl.letters(cl.monomial_key(key)) == key
-    assert cl.monomial_key(()) == ClassicalPoly.unit_key == QSymbolPoly.unit_key == 0
+    assert cl.monomial_key(()) == ClassicalPoly.unit_key == 0
     assert ClassicalPoly.constant(3).terms == {0: 3}
 
 
@@ -329,7 +346,7 @@ def test_repr_of_fixtures_is_unchanged():
         " + -1/4*Q[0,2]Q[0,3]Q[1,1]")
     assert repr(cl.sl2_relation_type1(3, 0, 0, 1, 2)) == (
         "1*C[0,1,2]Q[0,3] + -1*C[0,1,3]Q[0,2] + 1*C[0,2,3]Q[0,1] + -1*C[1,2,3]Q[0,0]")
-    assert repr(QSymbolPoly.q(0, 2) * QSymbolPoly.c(0, 1, 3) * QSymbolPoly.q(0, 2)) == (
+    assert repr(ClassicalPoly.q(0, 2) * ClassicalPoly.c(0, 1, 3) * ClassicalPoly.q(0, 2)) == (
         "1*C[0,1,3]Q[0,2]Q[0,2]")
     assert repr(cl.polarization(1, 0, cl.sl2_c(0, 2, 3)).scale(Fraction(-1, 3))) == (
         "-1/3*x[0,1]x[1,2]x[2,3] + 1/3*x[0,1]x[1,3]x[2,2] + 1/3*x[0,2]x[1,1]x[2,3]"
@@ -338,12 +355,12 @@ def test_repr_of_fixtures_is_unchanged():
 
 @pytest.mark.parametrize("build", [
     lambda: ClassicalPoly.variable(-2, 3),
-    lambda: QSymbolPoly.c(-1, 0, 2),
+    lambda: ClassicalPoly.c(-1, 0, 2),
     lambda: cl.sl2_q(-1, 0),
     lambda: cl.sl2_c(-1, 0, 1),
     lambda: cl.weyl_q(2, 0, -1),
-    lambda: QSymbolPoly.q(-1, 0),
-], ids=["variable", "QSymbolPoly.c", "sl2_q", "sl2_c", "weyl_q", "q_symbol"])
+    lambda: ClassicalPoly.q(-1, 0),
+], ids=["variable", "ClassicalPoly.c", "sl2_q", "sl2_c", "weyl_q", "q_symbol"])
 def test_negative_indices_are_refused(build):
     with pytest.raises(ValueError, match="^indices must be nonnegative$"):
         build()

@@ -437,9 +437,10 @@ def test_invalid_max_weight_env(capsys, monkeypatch):
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# The CI step's --json commands, except the rank-3 remainder-direct, whose
-# value test_orbifold.py::test_remainder_direct_r3 checks.  Each file under
-# tests/golden/ is the command's standard output, written with
+# The --json commands whose output is pinned byte for byte; the CI workflow
+# also runs each one as its own process under two hash seeds against the same
+# files.  Each file under tests/golden/ is the command's standard output,
+# written with
 #   PYTHONPATH=src PYTHONHASHSEED=1 python -m voa.cli <argv> > tests/golden/<name>.json
 # at commit bcbf7e7, before the integer fast path in LevelScalar products;
 # decouple-j6.json at commit 0ed7d23, before Wick's closed form for abelian
@@ -448,7 +449,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # tests/data/sl2-third.cfg (sl2 in the basis x, y, h/3); invariants-swap.json at
 # commit e568199, before invariant_subspace read the action's integer maps
 # directly, with tests/data/heisenberg2-swap.cfg (a finite element that mixes
-# the generators, where every built-in finite element is diagonal).
+# the generators, where every built-in finite element is diagonal);
+# remainder-direct-r3.json at commit 5a40151, before the classical symbols
+# became ClassicalPoly terms.
 GOLDEN_COMMANDS = {
     "table1": ["table1", "--n-max", "6", "--json"],
     "decouple": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j4",
@@ -461,6 +464,8 @@ GOLDEN_COMMANDS = {
     "remainder-n4": ["remainder", "--n", "4", "--I", "0,1,2,3,4", "--J", "0,1,2,3,6", "--json"],
     "remainder-direct": ["remainder-direct", "--n", "2", "--I", "0,1,2", "--J", "0,1,4",
                          "--json"],
+    "remainder-direct-r3": ["remainder-direct", "--n", "3", "--I", "0,1,2,3", "--J", "0,1,2,3",
+                            "--json"],
     "sl2-generators": ["sl2-generators", "--max-weight", "6", "--json"],
     "ope": ["ope", "--algebra", "sl2", "x", "y", "--json"],
     "circle": ["circle", "--algebra", "sl2", "--n", "-1", "y", "x", "--json"],

@@ -111,12 +111,12 @@ def test_generator_dictionary_validation():
 
 def test_evaluate_nop_examples():
     d = ob.omega_dictionary(1, 5)
-    single = ob.FormalNOP.single("Om[0,0]")
+    single = ob.FormalNOP({(("Om[0,0]", 0),): 1})
     assert ob.evaluate_nop(single, d) == ob.omega(1, 0, 0)
-    dOm = ob.FormalNOP.single("Om[0,0]", deriv=1)
+    dOm = ob.FormalNOP({(("Om[0,0]", 1),): 1})
     assert ob.evaluate_nop(dOm, d) == ob.omega(1, 0, 1).scale(2)
     with pytest.raises(KeyError):
-        ob.evaluate_nop(ob.FormalNOP.single("Nope[0]"), d)
+        ob.evaluate_nop(ob.FormalNOP({(("Nope[0]", 0),): 1}), d)
 
 
 def _reference_nops(d, max_weight, seed):
@@ -184,10 +184,10 @@ def test_express_in_generators_rejects_weight_zero_generator():
     d.add(ob.j_symbol(0), ob.j_gen(1, 0))
     with pytest.raises(ValueError, match=r"\('One', 0\) has weight 0"):
         ob.express_in_generators(ob.j_gen(1, 0), d, 2)
-    # an exact-degree stage too: the closure check passes over the vacuum,
+    # a graded stage too: the closure check passes over the vacuum,
     # whose derivative is zero, and the letters are refused as before
     with pytest.raises(ValueError, match=r"\('One', 0\) has weight 0"):
-        ob.express_in_generators(ob.j_gen(1, 0), d, 2, exact_degree=2)
+        ob.express_in_generators(ob.j_gen(1, 0), d, 2, graded=True)
 
 
 def test_express_in_generators_examples():
@@ -201,7 +201,7 @@ def test_express_in_generators_examples():
     assert got == want
     # target already in the dictionary
     triv = ob.express_in_generators(ob.omega(1, 0, 2), d, max_degree=4)
-    assert triv == ob.FormalNOP.single("Om[0,2]")
+    assert triv == ob.FormalNOP({(("Om[0,2]", 0),): 1})
     # no solution: the weight-4 generator is not generated by j^0 alone
     d0 = d.subset(["Om[0,0]"])
     assert ob.express_in_generators(ob.omega(1, 0, 2), d0, max_degree=4) is None
@@ -213,13 +213,13 @@ def test_readding_a_symbol_replaces_its_cached_states():
     assert d.factor_state("A", 1) == vc.derivative(H1, ob.j_gen(1, 0))
     d.add("A", ob.j_gen(1, 2))
     assert d.factor_state("A", 1) == vc.derivative(H1, ob.j_gen(1, 2))
-    assert ob.evaluate_nop(ob.FormalNOP.single("A", 1), d) == vc.derivative(H1, ob.j_gen(1, 2))
+    assert ob.evaluate_nop(ob.FormalNOP({(("A", 1),): 1}), d) == vc.derivative(H1, ob.j_gen(1, 2))
     # a stage built before the symbol changed is not reused
     d = ob.GeneratorDictionary(H1).add("A", ob.omega(1, 0, 0))
     target = ob.omega(1, 0, 0).scale(2)
-    assert ob.express_in_generators(target, d, 2) == ob.FormalNOP.single("A", coeff=2)
+    assert ob.express_in_generators(target, d, 2) == ob.FormalNOP({(("A", 0),): 2})
     d.add("A", target)
-    assert ob.express_in_generators(target, d, 2) == ob.FormalNOP.single("A")
+    assert ob.express_in_generators(target, d, 2) == ob.FormalNOP({(("A", 0),): 1})
 
 
 def _count_stage_work(monkeypatch):
@@ -240,18 +240,19 @@ def _count_stage_work(monkeypatch):
     return counts
 
 
-def _assert_built_once(counts, exact_degree):
-    """One elimination; Wick evaluations only for a stage of no exact degree,
-    since an exact-degree stage multiplies top components instead."""
+def _assert_built_once(counts, graded):
+    """One elimination; Wick evaluations only for a full stage, since a
+    graded stage multiplies top components instead."""
     assert counts["factor"] == 1
-    if exact_degree is None:
+    if not graded:
         assert counts["evaluate_nop"] > 0
     else:
         assert counts["evaluate_nop"] == 0
 
 
-# (dictionary's max weight, max_degree, exact_degree, targets of one stage);
-# the last stage has no solution for its first target
+# (dictionary's max weight, max_degree, the degree of a graded stage or None
+# for a full one, targets of one stage); the last stage has no solution for
+# its first target
 STAGES = [
     (6, 4, None, [
         ob.omega(1, 1, 3),
@@ -265,12 +266,14 @@ STAGES = [
 ]
 
 
-@pytest.mark.parametrize("max_weight, max_degree, exact_degree, targets", STAGES)
+@pytest.mark.parametrize("max_weight, max_degree, graded_degree, targets", STAGES)
 def test_express_in_generators_reuses_each_stage(
-    monkeypatch, max_weight, max_degree, exact_degree, targets
+    monkeypatch, max_weight, max_degree, graded_degree, targets
 ):
+    graded = graded_degree is not None
+    assert graded_degree in (None, max_degree)
     fresh = [
-        ob.express_in_generators(t, ob.omega_dictionary(1, max_weight), max_degree, exact_degree)
+        ob.express_in_generators(t, ob.omega_dictionary(1, max_weight), max_degree, graded)
         for t in targets
     ]
     if max_weight == 2:
@@ -280,18 +283,18 @@ def test_express_in_generators_reuses_each_stage(
     # the closure check's eliminations are made before the counts start
     d.closed_in_gr(vc.weight(first))
     counts = _count_stage_work(monkeypatch)
-    assert ob.express_in_generators(first, d, max_degree, exact_degree) == fresh[0]
-    _assert_built_once(counts, exact_degree)
+    assert ob.express_in_generators(first, d, max_degree, graded) == fresh[0]
+    _assert_built_once(counts, graded)
     for target, want in zip(rest, fresh[1:]):
         counts.update(evaluate_nop=0, factor=0)
-        assert ob.express_in_generators(target, d, max_degree, exact_degree) == want
+        assert ob.express_in_generators(target, d, max_degree, graded) == want
         assert counts == {"evaluate_nop": 0, "factor": 0}
     # adding a generator makes the next call build the stage again
     d.add("Extra", ob.omega(1, 0, 2))
     d.closed_in_gr(vc.weight(first))
     counts.update(evaluate_nop=0, factor=0)
-    again = ob.express_in_generators(first, d, max_degree, exact_degree)
-    _assert_built_once(counts, exact_degree)
+    again = ob.express_in_generators(first, d, max_degree, graded)
+    _assert_built_once(counts, graded)
     if max_weight == 2:
         assert again is not None
 
@@ -321,19 +324,33 @@ def test_exact_degree_stage_falls_back_when_not_closed():
     d = ob.j_dictionary(1, (0, 2))
     assert not d.closed_in_gr(3)
     target = vc.nth_derivative(H1, ob.j_gen(1, 0), 1).degree_component(2)
-    assert ob.express_in_generators(target, d, 2, 2) == ob.FormalNOP.single(ob.j_symbol(0), 1)
+    assert ob.express_in_generators(target, d, 2, graded=True) == ob.FormalNOP(
+        {((ob.j_symbol(0), 1),): 1})
+
+
+def test_graded_stage_refuses_a_target_of_another_degree():
+    # parts of degree 2 and 4: a graded stage takes one degree, its max_degree
+    t = vc.wick(H1, ob.omega(1, 0, 0), ob.omega(1, 0, 2))
+    for max_degree in (4, 2):
+        with pytest.raises(ValueError, match=r"degree %d got target monomials of lengths \[2, 4\]"
+                           % max_degree):
+            ob.express_in_generators(t, ob.omega_dictionary(1, 6), max_degree, graded=True)
+    # the degree-4 part alone is expressed
+    top, d = t.degree_component(4), ob.omega_dictionary(1, 6)
+    nop = ob.express_in_generators(top, d, 4, graded=True)
+    assert ob.evaluate_nop(nop, d).degree_component(4) == top
 
 
 def test_closed_exact_degree_stage_lists_no_derivative_letter():
     d = ob.omega_dictionary(1, 8)
     rel = det_relation(1, (0, 1), (0, 3))
     assert ob.evaluate_nop(ob.quantum_correction(rel, d), d).is_zero()
-    exact = [cands for (_, _, exact), (cands, _) in d._stages.items() if exact is not None]
-    assert exact and all(exact)
-    assert all(t == 0 for cands in exact for mono in cands for _, t in mono)
+    graded = [cands for (_, _, g), (cands, _) in d._stages.items() if g]
+    assert graded and all(graded)
+    assert all(t == 0 for cands in graded for mono in cands for _, t in mono)
     # the same stage over a dictionary that is not closed keeps them
     j = ob.j_dictionary(1, (0, 2))
-    assert ob.express_in_generators(ob.j_gen(1, 2).degree_component(2), j, 2, 2) is not None
+    assert ob.express_in_generators(ob.j_gen(1, 2).degree_component(2), j, 2, True) is not None
     (cands, _), = j._stages.values()
     assert any(t for mono in cands for _, t in mono)
 
@@ -360,7 +377,7 @@ def _sl2_bare_dictionary():
     (_sl2_bare_dictionary, 4),
 ], ids=["omega-rank1", "omega-rank2", "sl2-tilde", "sl2-bare"])
 def test_graded_product_matches_full_evaluation(monkeypatch, make, max_weight):
-    # an exact-degree stage column, the product of its letters' leading
+    # a graded stage column, the product of its letters' leading
     # symbols, is the leading symbol of the candidate's Wick evaluation, over Q
     d = make()
     factored = []
@@ -374,8 +391,8 @@ def test_graded_product_matches_full_evaluation(monkeypatch, make, max_weight):
             if not monos:
                 continue
             top = ob.evaluate_nop(ob.FormalNOP({monos[0]: ONE}), d).degree_component(deg)
-            ob.express_in_generators(top, d, deg, exact_degree=deg)
-            candidates, _ = d._stages[w, deg, deg]
+            ob.express_in_generators(top, d, deg, graded=True)
+            candidates, _ = d._stages[w, deg, True]
             columns = factored[-1]  # the stage's own, after any closure check
             assert len(columns) == len(candidates) > 0
             for mono, column in zip(candidates, columns):
@@ -404,7 +421,7 @@ def test_graded_stages_need_tops_constant_in_k():
         ob.quantum_correction(det_relation(1, (0, 1), (0, 1)), _k_dependent_dictionary())
     target = vc.wick(H1, ob.omega(1, 0, 0), ob.omega(1, 0, 0)).degree_component(4)
     with pytest.raises(ValueError, match=named):
-        ob.express_in_generators(target, _k_dependent_dictionary(), 4, exact_degree=4)
+        ob.express_in_generators(target, _k_dependent_dictionary(), 4, graded=True)
     d = _k_dependent_dictionary()
     full = ob.express_in_generators(ob.omega(1, 1, 1), d.subset(["Om[0,0]", "Om[0,2]"]), 4)
     assert ob.evaluate_nop(full, d) == ob.omega(1, 1, 1)
@@ -470,7 +487,7 @@ def _factorial_adjusted_substitute(p, n):
 def test_normal_ordering_leading_symbol():
     # for a non-relation, the evaluated normal ordering has the classical
     # product as leading symbol, up to the derivative normalization
-    p = cl.QSymbolPoly.q(0, 0) * cl.QSymbolPoly.q(1, 1)
+    p = cl.ClassicalPoly.q(0, 0) * cl.ClassicalPoly.q(1, 1)
     d = ob.omega_dictionary(2, 6)
     evaluated = ob.evaluate_nop(ob.normal_ordering(p), d)
     assert vc.leading_symbol(evaluated) == _factorial_adjusted_substitute(p, 2)
@@ -478,7 +495,7 @@ def test_normal_ordering_leading_symbol():
 
 def test_quantum_correction_zero_relation():
     d = ob.omega_dictionary(1, 4)
-    assert ob.quantum_correction(cl.QSymbolPoly.zero(), d) == ob.FormalNOP.zero()
+    assert ob.quantum_correction(cl.ClassicalPoly.zero(), d) == ob.FormalNOP.zero()
 
 
 def test_quantum_correction_stuck_without_heavier_generators():
@@ -527,7 +544,7 @@ def test_each_letter_gets_one_leading_symbol(monkeypatch):
     for I, J in [((0, 1), (0, 1)), ((0, 1), (0, 3)), ((0, 2), (1, 3)), ((1, 2), (0, 3))]:
         ob.quantum_correction(det_relation(1, I, J), d)
     assert d.closed_in_gr(10)
-    # closed_in_gr and every exact-degree stage share the dictionary's symbols
+    # closed_in_gr and every graded stage share the dictionary's symbols
     assert len(calls) == len(d._symbols) > 0
     assert d._symbol("Om[0,0]", 0) is d._symbols["Om[0,0]", 0]
     d.add(ob.omega_symbol(0, 10), ob.omega(1, 0, 10))
@@ -536,14 +553,14 @@ def test_each_letter_gets_one_leading_symbol(monkeypatch):
 
 def test_pr_coefficient_examples():
     for m in (4, 6):
-        assert ob.pr_coefficient(ob.FormalNOP.single(f"Om[0,{m}]"), m) == ONE
+        assert ob.pr_coefficient(ob.FormalNOP({((f"Om[0,{m}]", 0),): 1}), m) == ONE
         assert ob.pr_coefficient(
-            ob.FormalNOP.single(f"Om[0,{m - 2}]", deriv=2), m
+            ob.FormalNOP({((f"Om[0,{m - 2}]", 2),): 1}), m
         ).is_zero()
-        assert ob.pr_coefficient(ob.FormalNOP.single(f"Om[1,{m - 1}]"), m) == -ONE
-        assert ob.pr_coefficient(ob.FormalNOP.single(f"Om[2,{m - 2}]"), m) == ONE
+        assert ob.pr_coefficient(ob.FormalNOP({((f"Om[1,{m - 1}]", 0),): 1}), m) == -ONE
+        assert ob.pr_coefficient(ob.FormalNOP({((f"Om[2,{m - 2}]", 0),): 1}), m) == ONE
     with pytest.raises(ParityError):
-        ob.pr_coefficient(ob.FormalNOP.single("Om[0,3]"), 3)
+        ob.pr_coefficient(ob.FormalNOP({(("Om[0,3]", 0),): 1}), 3)
 
 
 def _projection_by_solve(m):
@@ -574,7 +591,7 @@ def test_pr_coefficient_matches_projection_solve(m):
     assert ob.REMAINDER_MAX_M <= 30  # the range covers every m remainder_direct allows
     for a, lam in _projection_by_solve(m).items():
         for sym in (f"Om[{a},{m - a}]", f"Om[{m - a},{a}]"):
-            got = ob.pr_coefficient(ob.FormalNOP.single(sym), m)
+            got = ob.pr_coefficient(ob.FormalNOP({((sym, 0),): 1}), m)
             assert got == ONE.scale(lam) and lam == (-1) ** a
 
 
@@ -643,7 +660,7 @@ def test_decouple_examples():
     assert res2.excluded_levels == res.excluded_levels
     # trivial single-symbol relation
     triv = ob.decouple(H1, O1, d, ob.j_gen(1, 2), max_degree=4)
-    assert triv.relation == ob.FormalNOP.single(ob.j_symbol(2))
+    assert triv.relation == ob.FormalNOP({((ob.j_symbol(2), 0),): 1})
     assert triv.excluded_levels == []
     # no solution is a value, not an error
     assert ob.decouple(H1, O1, d.subset([ob.j_symbol(0)]), ob.j_gen(1, 2)) is None
