@@ -350,7 +350,8 @@ def test_closed_exact_degree_stage_lists_no_derivative_letter():
     assert all(t == 0 for cands in graded for mono in cands for _, t in mono)
     # the same stage over a dictionary that is not closed keeps them
     j = ob.j_dictionary(1, (0, 2))
-    assert ob.express_in_generators(ob.j_gen(1, 2).degree_component(2), j, 2, True) is not None
+    top = ob.j_gen(1, 2).degree_component(2)
+    assert ob.express_in_generators(top, j, 2, graded=True) is not None
     (cands, _), = j._stages.values()
     assert any(t for mono in cands for _, t in mono)
 
