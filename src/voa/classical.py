@@ -398,7 +398,7 @@ def dring_contains(p: ClassicalPoly, generators) -> bool:
     ]
     if not columns:
         return False
-    return linalg.solve(columns, p.terms, Fraction(0)) is not None
+    return linalg.solve(columns, p.terms) is not None
 
 
 def minimal_dring_generators(candidates) -> list:

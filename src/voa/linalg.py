@@ -34,7 +34,8 @@ The choice of pivot row changes no answer.  The pivot columns (each column
 independent of the ones before it) are a property of the matrix, and so is
 the reduced row echelon form.  Hence ``solve``'s answer with its free
 variables set to zero, and the kernel basis read off the reduced form, are
-unique.
+unique.  Answers are sparse like the columns: a map ``{column: nonzero
+value}`` per solution or kernel vector, so the zero free variables are absent.
 """
 
 from __future__ import annotations
@@ -105,17 +106,16 @@ def _eliminate(columns):
 def factor(columns):
     """Eliminate the matrix once; return a solver for any right-hand side.
 
-    The solver ``apply(rhs, zero)`` returns one exact solution x of
-    sum_j x_j * columns[j] = rhs, or None if there is none.  ``rhs`` is a
-    mapping ``coord -> entry`` like the columns.  Free variables are set to
-    zero, so the answer is determined by the column order.  The solver keeps
-    the row operations only, not the columns.
+    The solver ``apply(rhs)`` returns one exact solution x of
+    sum_j x_j * columns[j] = rhs as a map ``{column: nonzero value}``, or
+    None if there is none.  ``rhs`` is a mapping ``coord -> entry`` like the
+    columns.  Free variables are zero, so the answer is determined by the
+    column order.  The solver keeps the row operations only, not the columns.
     """
-    n = len(columns)
     index, steps, _ = _eliminate(columns)
     pivot_column = {p: c for c, p, _, _ in steps}
 
-    def apply(rhs, zero):
+    def apply(rhs):
         b = {}  # row -> nonzero entry
         for coord, v in rhs.items():
             if v:
@@ -135,7 +135,7 @@ def factor(columns):
                     b[i] = s
                 else:
                     del b[i]
-        x = [zero] * n
+        x = {}
         for i, v in b.items():
             c = pivot_column.get(i)
             if c is None:
@@ -146,29 +146,28 @@ def factor(columns):
     return apply
 
 
-def solve(columns, rhs, zero):
-    """One exact solution x of sum_j x_j * columns[j] = rhs, or None.
+def solve(columns, rhs):
+    """One exact solution of sum_j x_j * columns[j] = rhs, or None.
 
-    The same as ``factor(columns)(rhs, zero)``.
+    The same as ``factor(columns)(rhs)``.
     """
-    return factor(columns)(rhs, zero)
+    return factor(columns)(rhs)
 
 
-def kernel_basis(columns, ncols, zero, one):
+def kernel_basis(columns, ncols):
     """Basis of the right kernel of the matrix of the first ``ncols`` columns.
 
-    One vector per free (non-pivot) column: 1 in that column, 0 in the
-    other free columns, and the back-substituted values in the pivot
-    columns.  The vectors are dense lists of length ``ncols``, in the order
-    of their free columns, and together already in reduced echelon form.
+    One map ``{column: nonzero value}`` per free (non-pivot) column, in
+    their order: 1 at that column and the back-substituted values at the
+    pivot columns, so the vectors are in reduced echelon form.  ``ncols``
+    stays because ``benchmarks/tracing.py`` reads it as the second argument.
     """
     pivots = _eliminate(columns[:ncols])[2]
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [zero] * ncols
-        vec[free] = one
+        vec = {free: 1}
         for c, row in pivots.items():
             v = row.get(free)
             if v:

@@ -187,7 +187,7 @@ class GeneratorDictionary:
                         self._symbol(f, 0).terms
                         for f, fe in self.entries.items() if (fe.weight, fe.degree) == cls
                     ])
-                closed = self._closure[sym] = solver(self._symbol(sym, 1).terms, 0) is not None
+                closed = self._closure[sym] = solver(self._symbol(sym, 1).terms) is not None
             if not closed:
                 return False
         return True
@@ -271,8 +271,12 @@ def sl2_tilde_c(k: int, l: int, m: int) -> State:
 # -- invariant subspaces -----------------------------------------------------------
 
 
-#: most weight-w monomials invariant_subspace enumerates; abelian(4) at weight 8
-#: (2,580 monomials) takes about 7 s, at weight 10 (10,108) about 100 s
+#: most weight-w monomials invariant_subspace enumerates.  The cost per
+#: monomial depends on the algebra: on a 2-CPU VM abelian(4) at weight 8
+#: (2,580 monomials) takes 0.2 s and at weight 10 (10,108) 1.2 s and 82 MB,
+#: rank 1 at weight 33 (10,143) 1.4 s and 38 MB, but the sl2 adjoint action
+#: at weight 12 (7,868) 13 s and 150 MB.  So the cap stays at 3,000 until it
+#: is re-picked from measured times per algebra (ROADMAP item 4)
 INVARIANT_MAX_MONOMIALS = 3000
 
 
@@ -316,8 +320,8 @@ def invariant_subspace(spec: LieSpec, action: ActionSpec, w: int):
                 col[a, out] = c
             if not derivation:  # a finite element M: the image under M - 1
                 col[a, mono] = col.get((a, mono), 0) - 1
-    vecs = linalg.kernel_basis(columns, len(basis), Fraction(0), Fraction(1))
-    return [State.wrap({basis[i]: vc.coerce_scalar(c) for i, c in enumerate(v) if c}) for v in vecs]
+    vecs = linalg.kernel_basis(columns, len(basis))
+    return [State.wrap({basis[i]: vc.coerce_scalar(c) for i, c in v.items()}) for v in vecs]
 
 
 # -- expressing states in generators ------------------------------------------------
@@ -399,10 +403,10 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
     rhs = target.terms
     if graded:
         rhs = {vc.symbol_key(mono): c for mono, c in rhs.items()}
-    sol = solver(rhs, ZERO)
+    sol = solver(rhs)
     if sol is None:
         return None
-    return FormalNOP({candidates[i]: c for i, c in enumerate(sol) if c})
+    return FormalNOP({candidates[i]: c for i, c in sol.items()})
 
 
 # -- quantum corrections and remainders ----------------------------------------------

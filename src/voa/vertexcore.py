@@ -462,11 +462,11 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     h_dual = _rational(h_dual)
     # dual i is column i of the inverse form: the solution of B x = e_i
     apply = linalg.factor([dict(enumerate(col)) for col in zip(*spec.form)])
-    inverse_columns = [apply({i: Fraction(1)}, Fraction(0)) for i in range(spec.dim)]
+    inverse_columns = [apply({i: Fraction(1)}) for i in range(spec.dim)]
     if None in inverse_columns:
         raise ValueError("bilinear form is not invertible; no Sugawara vector")
     pref = ONE / ((K + LevelScalar.from_fraction(h_dual)).scale(2))
-    duals = [State({((j, 1),): c for j, c in enumerate(col) if c}) for col in inverse_columns]
+    duals = [State({((j, 1),): c for j, c in col.items()}) for col in inverse_columns]
     total = State.sum(wick(spec, State.generator(i), dual) for i, dual in enumerate(duals))
     return total.scale(pref)
 

@@ -581,9 +581,9 @@ def _projection_by_solve(m):
         columns.append(d_symbol(d_symbol({(c, m - 2 - c): Fraction(1)})))
     lambdas = {}
     for a in range(0, m // 2 + 1):
-        sol = linalg.solve(columns, {(a, m - a): Fraction(1)}, Fraction(0))
+        sol = linalg.solve(columns, {(a, m - a): Fraction(1)})
         assert sol is not None
-        lambdas[a] = sol[0]
+        lambdas[a] = sol.get(0, 0)
     return lambdas
 
 

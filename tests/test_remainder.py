@@ -234,9 +234,9 @@ def test_scan_f_matches_rational_interpolant():
         rows.append([Fraction(a * a), Fraction(a), Fraction(1), -f * a, -f])
         rhs[r] = f * a * a
     cols = [{r: rows[r][c] for r in range(5)} for c in range(5)]
-    sol = linalg.solve(cols, rhs, Fraction(0))
+    sol = linalg.solve(cols, rhs)
     assert sol is not None
-    p2, p1, p0, u, v = sol
+    p2, p1, p0, u, v = (sol.get(j, 0) for j in range(5))
     for a, f in rest:
         num = p2 * a * a + p1 * a + p0
         den = Fraction(a * a) + u * a + v
