@@ -41,7 +41,12 @@ def read_algebra(name: str):
         pass
     if os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+                ) from None
         base = os.path.splitext(os.path.basename(name))[0]
         return liedata.parse_config(text, name=base)
     raise KeyError(f"unknown algebra {name!r}: not a built-in and not a file")
@@ -64,8 +69,28 @@ def load_algebra(name: str):
     return spec, action
 
 
+def _identity_multiple(spec):
+    """c when the spec is abelian and its form is c times the identity, else None.
+
+    O(dim^2): reads the form once, and abelian-ness is ``free_field``.
+    """
+    if spec.free_field is None:
+        return None
+    c = spec.form[0][0]
+    for i, row in enumerate(spec.form):
+        for j, v in enumerate(row):
+            if v != (c if i == j else 0):
+                return None
+    return c
+
+
 def resolve_action(spec, name, config_action):
     if name == "orthogonal":
+        # so(n) acts by derivations skew for B, and the reflection keeps B,
+        # exactly when the algebra is abelian and B is a multiple of 1
+        if _identity_multiple(spec) is None:
+            raise ValueError(f"the orthogonal action needs an abelian algebra whose form is a"
+                             f" multiple of the identity; {spec.name} is not")
         return liedata.orthogonal_action(spec.dim)
     if name == "adjoint":
         return liedata.adjoint_action(spec)
@@ -195,8 +220,10 @@ def _parse_j_name(name: str) -> int:
 
 def cmd_decouple(args) -> int:
     spec, config_action = load_algebra(args.algebra)
-    if spec.free_field is None:
-        raise ValueError("decouple search is wired for the abelian (heisenberg) case")
+    if _identity_multiple(spec) != 1:
+        # the j generators are built over heisenberg<n>, whose form is the identity
+        raise ValueError(f"decouple needs an abelian algebra with the identity form"
+                         f" (heisenberg<n>); {spec.name} is not")
     action = resolve_action(spec, args.action, config_action)
     target_m = _parse_j_name(args.target)
     _check_weight("target weight", target_m + 2)
@@ -362,7 +389,8 @@ def main(argv=None) -> int:
     except (ParityError, ResourceError, PoleAtLevel, DescentStuck,
             ValueError, KeyError, OSError, ZeroDivisionError) as exc:
         kind = type(exc).__name__
-        msg = exc.args[0] if exc.args else str(exc)
+        # a KeyError's str() quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error[{kind}]: {msg}", file=sys.stderr)
         return 2
 

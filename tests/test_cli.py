@@ -486,3 +486,54 @@ def test_json_output_matches_golden_file(capsys, name):
     code, out, _ = run(capsys, GOLDEN_COMMANDS[name])
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# rank 1 with B = 2: a(z) a(w) ~ 2*k (z-w)^-2, so not heisenberg1
+SCALED_FORM = "[algebra]\ndim = 1\n[form]\n0 0 = 2\n"
+# rank 2 with B = diag(1, 2): so(2) is not skew for B
+UNEVEN_FORM = "[algebra]\ndim = 2\n[form]\n0 0 = 1\n1 1 = 2\n"
+
+
+def test_orthogonal_action_needs_an_abelian_algebra_with_a_scalar_form(capsys, tmp_path):
+    code, out, err = run(capsys, ["invariants", "--algebra", "sl2", "--action", "orthogonal",
+                                  "--weight", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error[ValueError]: the orthogonal action needs an abelian algebra")
+    assert "; sl2 is not" in err
+    cfg = tmp_path / "uneven.cfg"
+    cfg.write_text(UNEVEN_FORM)
+    code, out, err = run(capsys, ["invariants", "--algebra", str(cfg), "--action", "orthogonal",
+                                  "--weight", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error[ValueError]: the orthogonal action") and "uneven is not" in err
+    # a multiple of the identity is kept by O(n): only the two quadratics remain
+    scaled = tmp_path / "scaled.cfg"
+    scaled.write_text(SCALED_FORM)
+    code, out, _ = run(capsys, ["invariants", "--algebra", str(scaled), "--action", "orthogonal",
+                                "--weight", "2"])
+    assert code == 0 and out.splitlines()[0] == "dimension 1"
+
+
+def test_decouple_needs_the_identity_form(capsys, tmp_path):
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text(SCALED_FORM)
+    code, out, err = run(capsys, ["decouple", "--algebra", str(cfg), "--dict", "j0,j2",
+                                  "--target", "j4", "--json"])
+    assert code == 2 and out == ""
+    assert err == ("error[ValueError]: decouple needs an abelian algebra with the identity form"
+                   " (heisenberg<n>); scaled is not\n")
+    code, out, err = run(capsys, ["decouple", "--algebra", "sl2", "--dict", "j0,j2",
+                                  "--target", "j4"])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: decouple needs" in err and "; sl2 is not" in err
+
+
+def test_error_lines_carry_the_error_text(capsys, tmp_path):
+    code, out, err = run(capsys, ["ope", "--algebra", str(tmp_path), "x", "y"])
+    assert code == 2 and out == ""
+    assert err == f"error[IsADirectoryError]: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["ope", "--algebra", str(bad), "x", "y"])
+    assert code == 2 and out == ""
+    assert err == f"error[ValueError]: {bad} is not UTF-8 text: invalid start byte at byte 0\n"
