@@ -78,8 +78,16 @@ def monomial_key(spelled) -> int:
     return sum(map(letter_key, spelled))
 
 
+def _variables_first(letter):
+    """Sort key for letters of both kinds: variables (i, j) before symbols."""
+    return isinstance(letter[0], str), letter
+
+
 def letters(key: int) -> tuple:
-    """The sorted tuple of a key's letters, each repeated as often as its exponent."""
+    """The sorted tuple of a key's letters, each repeated as often as its exponent.
+
+    A key that mixes variables and symbols lists its variables first.
+    """
     out = []
     rest = key >> FIELD_BITS
     while rest:
@@ -88,7 +96,26 @@ def letters(key: int) -> tuple:
         e = (rest >> shift) & MAX_DEGREE
         out += [_LETTERS[shift // FIELD_BITS]] * e
         rest ^= e << shift
-    return tuple(sorted(out))
+    try:
+        return tuple(sorted(out))
+    except TypeError:  # an int index met a symbol's name
+        return tuple(sorted(out, key=_variables_first))
+
+
+def _letter_text(letter) -> str:
+    """A letter as printed: x[i,j] for a variable, Q[a,b] or C[k,l,m] for a symbol."""
+    if isinstance(letter[0], str):
+        return f"{letter[0]}[{','.join(map(str, letter[1:]))}]"
+    return f"x[{letter[0]},{letter[1]}]"
+
+
+def _variables(key: int, what: str) -> tuple:
+    """``letters(key)``, refusing a key with a symbol: ValueError names it."""
+    spelled = letters(key)
+    if spelled and isinstance(spelled[-1][0], str):  # symbols sort last
+        raise ValueError(f"{what} takes variables x[i,j], got the symbol"
+                         f" {_letter_text(spelled[-1])}")
+    return spelled
 
 
 def _check_indices(*indices):
@@ -161,13 +188,13 @@ class ClassicalPoly(Terms):
 
     def poly_weight(self):
         """Common weight sum(j+1) over a key; None when inhomogeneous, 0 when zero."""
-        ws = {sum(j + 1 for _, j in letters(k)) for k in self.terms}
+        ws = {sum(j + 1 for _, j in _variables(k, "poly_weight")) for k in self.terms}
         if not ws:
             return 0
         return ws.pop() if len(ws) == 1 else None
 
     def families(self):
-        return sorted({i for k in self.terms for i, _ in letters(k)})
+        return sorted({i for k in self.terms for i, _ in _variables(k, "families")})
 
     # -- derivations and substitutions ----------------------------------------
 
@@ -187,21 +214,23 @@ class ClassicalPoly(Terms):
     def derive_variables(self, fn) -> "ClassicalPoly":
         """Derivation determined by x_{i,j} |-> fn((i, j)) (a ClassicalPoly)."""
         return ClassicalPoly.sum(
-            self.partial(*v) * fn(v) for v in sorted({v for k in self.terms for v in letters(k)})
+            self.partial(*v) * fn(v)
+            for v in sorted({v for k in self.terms for v in _variables(k, "derive_variables")})
         )
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for spelled, c in sorted((letters(key), c) for key, c in self.terms.items()):
+        spelled_terms = ((letters(key), c) for key, c in self.terms.items())
+        for spelled, c in sorted(spelled_terms, key=lambda t: tuple(map(_variables_first, t[0]))):
             factors = ""
             for v, g in itertools.groupby(spelled):
                 e = len(list(g))
                 if isinstance(v[0], str):  # a symbol: repeats are spelled out
-                    factors += f"{v[0]}[{','.join(map(str, v[1:]))}]" * e
+                    factors += _letter_text(v) * e
                 else:
-                    factors += f"x[{v[0]},{v[1]}]" + (f"^{e}" if e > 1 else "")
+                    factors += _letter_text(v) + (f"^{e}" if e > 1 else "")
             parts.append(f"{c}" if not factors else f"{c}*{factors}")
         return " + ".join(parts)
 
@@ -295,7 +324,8 @@ def substitute(p: ClassicalPoly, n: int) -> ClassicalPoly:
 
     def image(sym):
         if sym[0] != "Q":
-            raise ValueError("substitute handles Q symbols only; use substitute_sl2")
+            hint = "; use substitute_sl2" if sym[0] == "C" else ""
+            raise ValueError(f"substitute handles Q symbols only, got {_letter_text(sym)}{hint}")
         return weyl_q(n, sym[1], sym[2])
 
     return _substitute(p, image)
@@ -303,7 +333,16 @@ def substitute(p: ClassicalPoly, n: int) -> ClassicalPoly:
 
 def substitute_sl2(p: ClassicalPoly) -> ClassicalPoly:
     """Q_{a,b} -> adjoint quadratic, C_{klm} -> adjoint cubic."""
-    return _substitute(p, lambda sym: sl2_q(*sym[1:]) if sym[0] == "Q" else sl2_c(*sym[1:]))
+
+    def image(sym):
+        if sym[0] == "Q":
+            return sl2_q(*sym[1:])
+        if sym[0] == "C":
+            return sl2_c(*sym[1:])
+        raise ValueError(f"substitute_sl2 takes Q and C symbols, got the variable"
+                         f" {_letter_text(sym)}")
+
+    return _substitute(p, image)
 
 
 def sl2_relation_type1(i, j, k, l, m) -> ClassicalPoly:

@@ -415,7 +415,10 @@ def express_in_generators(target: State, dictionary: GeneratorDictionary,
 def _symbol_name(sym) -> str:
     if sym[0] == "Q":
         return omega_symbol(sym[1], sym[2])
-    return f"Ct[{sym[1]},{sym[2]},{sym[3]}]"
+    if sym[0] == "C":
+        return f"Ct[{sym[1]},{sym[2]},{sym[3]}]"
+    raise ValueError(f"normal_ordering takes Q and C symbols, got the variable"
+                     f" {cl._letter_text(sym)}")
 
 
 def normal_ordering(rel: ClassicalPoly) -> FormalNOP:

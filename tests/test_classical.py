@@ -8,6 +8,7 @@ import pytest
 import tuple_reference as ref
 from voa import classical as cl
 from voa import liedata
+from voa import orbifold as ob
 from voa.classical import ClassicalPoly
 
 
@@ -364,3 +365,34 @@ def test_repr_of_fixtures_is_unchanged():
 def test_negative_indices_are_refused(build):
     with pytest.raises(ValueError, match="^indices must be nonnegative$"):
         build()
+
+
+def test_repr_of_a_mixed_polynomial_lists_variables_first():
+    q, x = ClassicalPoly.q(0, 1), ClassicalPoly.variable(0, 0)
+    assert repr(q * x) == "1*x[0,0]Q[0,1]"
+    assert repr(q + x * x + q * ClassicalPoly.c(0, 1, 2) * x) == (
+        "1*x[0,0]^2 + 1*x[0,0]C[0,1,2]Q[0,1] + 1*Q[0,1]")
+
+
+_Q, _X = ClassicalPoly.q(0, 1), ClassicalPoly.variable(0, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _Q.poly_weight(), "poly_weight takes variables x[i,j], got the symbol Q[0,1]"),
+    (lambda: (_Q * _X).poly_weight(), "poly_weight takes variables x[i,j], got the symbol Q[0,1]"),
+    (lambda: _Q.families(), "families takes variables x[i,j], got the symbol Q[0,1]"),
+    (lambda: cl.d_ring_derivative(_Q), "derive_variables takes variables x[i,j], got the symbol"),
+    (lambda: cl.polarization(0, 1, _Q), "families takes variables x[i,j], got the symbol Q[0,1]"),
+    (lambda: cl.dring_contains(_Q, []), "poly_weight takes variables x[i,j], got the symbol Q[0,1]"),
+    (lambda: cl.substitute(_X, 2), "substitute handles Q symbols only, got x[0,0]"),
+    (lambda: cl.substitute_sl2(_X), "substitute_sl2 takes Q and C symbols, got the variable x[0,0]"),
+    (lambda: ob.normal_ordering(_X), "normal_ordering takes Q and C symbols, got the variable x[0,0]"),
+    (lambda: ob.quantum_correction(_Q * _X, ob.omega_dictionary(1, 4)),
+     "normal_ordering takes Q and C symbols, got the variable x[0,0]"),
+], ids=["poly_weight", "poly_weight-mixed", "families", "d_ring_derivative", "polarization",
+        "dring_contains", "substitute", "substitute_sl2", "normal_ordering",
+        "quantum_correction"])
+def test_wrong_kind_of_letter_is_named(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message)
