@@ -623,19 +623,16 @@ def test_remainder_direct_matches_recursion_up_to_m14():
         assert ob.remainder_direct(n, I, J) == rn(n, I, J), (n, I, J)
 
 
-@pytest.mark.slow
 def test_remainder_direct_r3():
     # R_3 of Table 1, from scratch in the rank-3 Heisenberg algebra
     I = (0, 1, 2, 3)
     assert ob.remainder_direct(3, I, I) == Fraction(-2419, 705600)
 
 
-@pytest.mark.slow
 def test_remainder_direct_n2_diagonal():
     assert ob.remainder_direct(2, (0, 1, 2), (0, 1, 2)) == Fraction(149, 600)
 
 
-@pytest.mark.slow
 def test_remainder_direct_n2_off_diagonal_matches_recursion():
     # off-diagonal rank-2 cases probe the recursion's sign conventions against
     # the from-scratch computation, including the (I, J) symmetry
