@@ -324,8 +324,8 @@ def substitute(p: ClassicalPoly, n: int) -> ClassicalPoly:
 
     def image(sym):
         if sym[0] != "Q":
-            hint = "; use substitute_sl2" if sym[0] == "C" else ""
-            raise ValueError(f"substitute handles Q symbols only, got {_letter_text(sym)}{hint}")
+            raise ValueError(f"substitute handles Q symbols only (substitute_sl2 takes C too),"
+                             f" got {_letter_text(sym)}")
         return weyl_q(n, sym[1], sym[2])
 
     return _substitute(p, image)
@@ -384,9 +384,16 @@ def d_ring_derivative(p: ClassicalPoly) -> ClassicalPoly:
 def _family_image(M):
     """(i, j) |-> sum over i2 of M[i2][i] x_{i2,j}: a matrix acting on the family index."""
     rows = range(len(M))
-    return lambda v: ClassicalPoly.sum(
-        ClassicalPoly.variable(i2, v[1]).scale(M[i2][v[0]]) for i2 in rows if M[i2][v[0]]
-    )
+
+    def image(v):
+        if isinstance(v[0], str):
+            raise ValueError(f"a family matrix acts on variables x[i,j], got the symbol"
+                             f" {_letter_text(v)}")
+        return ClassicalPoly.sum(
+            ClassicalPoly.variable(i2, v[1]).scale(M[i2][v[0]]) for i2 in rows if M[i2][v[0]]
+        )
+
+    return image
 
 
 def lie_derivation(rho, p: ClassicalPoly) -> ClassicalPoly:

@@ -70,10 +70,7 @@ def load_algebra(name: str):
 
 
 def _identity_multiple(spec):
-    """c when the spec is abelian and its form is c times the identity, else None.
-
-    O(dim^2): reads the form once, and abelian-ness is ``free_field``.
-    """
+    """c when the spec is abelian and its form is c times the identity, else None."""
     if spec.free_field is None:
         return None
     c = spec.form[0][0]

@@ -375,24 +375,32 @@ def test_repr_of_a_mixed_polynomial_lists_variables_first():
 
 
 _Q, _X = ClassicalPoly.q(0, 1), ClassicalPoly.variable(0, 0)
+_NOT_Q = "takes variables x[i,j], got the symbol Q[0,1]"
+_NOT_X = "takes Q and C symbols, got the variable x[0,0]"
+_FAMILY = "a family matrix acts on variables x[i,j], got the symbol Q[0,1]"
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: _Q.poly_weight(), "poly_weight takes variables x[i,j], got the symbol Q[0,1]"),
-    (lambda: (_Q * _X).poly_weight(), "poly_weight takes variables x[i,j], got the symbol Q[0,1]"),
-    (lambda: _Q.families(), "families takes variables x[i,j], got the symbol Q[0,1]"),
-    (lambda: cl.d_ring_derivative(_Q), "derive_variables takes variables x[i,j], got the symbol"),
-    (lambda: cl.polarization(0, 1, _Q), "families takes variables x[i,j], got the symbol Q[0,1]"),
-    (lambda: cl.dring_contains(_Q, []), "poly_weight takes variables x[i,j], got the symbol Q[0,1]"),
-    (lambda: cl.substitute(_X, 2), "substitute handles Q symbols only, got x[0,0]"),
-    (lambda: cl.substitute_sl2(_X), "substitute_sl2 takes Q and C symbols, got the variable x[0,0]"),
-    (lambda: ob.normal_ordering(_X), "normal_ordering takes Q and C symbols, got the variable x[0,0]"),
-    (lambda: ob.quantum_correction(_Q * _X, ob.omega_dictionary(1, 4)),
-     "normal_ordering takes Q and C symbols, got the variable x[0,0]"),
-], ids=["poly_weight", "poly_weight-mixed", "families", "d_ring_derivative", "polarization",
-        "dring_contains", "substitute", "substitute_sl2", "normal_ordering",
-        "quantum_correction"])
+    pytest.param(lambda: _Q.poly_weight(), f"poly_weight {_NOT_Q}", id="poly_weight"),
+    pytest.param(lambda: (_Q * _X).poly_weight(), f"poly_weight {_NOT_Q}", id="poly_weight-mixed"),
+    pytest.param(lambda: _Q.families(), f"families {_NOT_Q}", id="families"),
+    pytest.param(lambda: cl.d_ring_derivative(_Q), f"derive_variables {_NOT_Q}",
+                 id="d_ring_derivative"),
+    pytest.param(lambda: cl.polarization(0, 1, _Q), f"families {_NOT_Q}", id="polarization"),
+    pytest.param(lambda: cl.dring_contains(_Q, []), f"poly_weight {_NOT_Q}", id="dring_contains"),
+    pytest.param(lambda: cl.apply_finite([[-1]], _Q), _FAMILY, id="apply_finite"),
+    pytest.param(lambda: cl.lie_invariance_check(liedata.orthogonal_action(1), _Q), _FAMILY,
+                 id="lie_invariance_check"),
+    pytest.param(lambda: cl.substitute(_X, 2),
+                 "substitute handles Q symbols only (substitute_sl2 takes C too), got x[0,0]",
+                 id="substitute"),
+    pytest.param(lambda: cl.substitute_sl2(_X), f"substitute_sl2 {_NOT_X}", id="substitute_sl2"),
+    pytest.param(lambda: ob.normal_ordering(_X), f"normal_ordering {_NOT_X}",
+                 id="normal_ordering"),
+    pytest.param(lambda: ob.quantum_correction(_Q * _X, ob.omega_dictionary(1, 4)),
+                 f"normal_ordering {_NOT_X}", id="quantum_correction"),
+])
 def test_wrong_kind_of_letter_is_named(call, message):
     with pytest.raises(ValueError) as info:
         call()
-    assert str(info.value).startswith(message)
+    assert str(info.value) == message
