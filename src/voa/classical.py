@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .liedata import ActionSpec, _exact
+from .liedata import ActionSpec, _columns, _exact
 from .terms import Terms, sort_sign, weighted_multisets
 
 # sl2 classical variable families, in the basis order of liedata.sl2_spec()
@@ -164,10 +164,6 @@ class ClassicalPoly(Terms):
         if not (a and b):
             return self.wrap({})
         _check_degree(max(map(MAX_DEGREE.__and__, a)) + max(map(MAX_DEGREE.__and__, b)))
-        if len(a) == 1:
-            # k1 + k2 is distinct for distinct k2: no collisions
-            ((k1, c1),) = a.items()
-            return self.wrap({k1 + k2: c1 * c2 for k2, c2 in b.items()})
         out = {}
         get = out.get
         for k1, c1 in a.items():
@@ -263,6 +259,10 @@ def sl2_c(k: int, l: int, m: int) -> ClassicalPoly:
         raise ValueError("need k < l < m")
     cols = (SL2_H, SL2_X, SL2_Y)
     return _determinant([[ClassicalPoly.variable(c, r) for c in cols] for r in (k, l, m)])
+
+
+# the lru_caches that voa.cache_stats() counts and voa.clear_caches() empties
+_LRU_CACHES = (weyl_q, sl2_q, sl2_c)
 
 
 @functools.cache
@@ -382,16 +382,20 @@ def d_ring_derivative(p: ClassicalPoly) -> ClassicalPoly:
 
 
 def _family_image(M):
-    """(i, j) |-> sum over i2 of M[i2][i] x_{i2,j}: a matrix acting on the family index."""
-    rows = range(len(M))
+    """(i, j) |-> sum over i2 of M[i2][i] x_{i2,j}: a square matrix acting on the
+    family index.  A matrix of another shape, or one too small to reach a
+    family of the polynomial, raises ValueError."""
+    cols = _columns(M, len(M))
 
     def image(v):
         if isinstance(v[0], str):
             raise ValueError(f"a family matrix acts on variables x[i,j], got the symbol"
                              f" {_letter_text(v)}")
-        return ClassicalPoly.sum(
-            ClassicalPoly.variable(i2, v[1]).scale(M[i2][v[0]]) for i2 in rows if M[i2][v[0]]
-        )
+        i, j = v
+        if i >= len(cols):
+            raise ValueError(f"a {len(cols)}x{len(cols)} family matrix does not reach the"
+                             f" variable {_letter_text(v)}")
+        return ClassicalPoly.sum(ClassicalPoly.variable(i2, j).scale(c) for i2, c in cols[i])
 
     return image
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from . import linalg
 from .errors import check_budget
-from .scalars import _rational
+from .scalars import _rational, rational_to_str
 
 Matrix = tuple  # tuple of tuples of Fraction
 
@@ -349,8 +349,8 @@ def parse_config(text: str, name: str = "config"):
                 key = key.strip().lower()
                 if key == "dim":
                     dim = int(val)
-                    if dim < 0:
-                        raise ValueError(f"negative dim {dim}")
+                    if dim < 1:
+                        raise ValueError(f"dim {dim} is not positive")
                 elif key == "labels":
                     labels = val.split()
                     at["labels"] = where
@@ -408,8 +408,6 @@ def parse_config(text: str, name: str = "config"):
 
 def spec_to_json(spec: LieSpec) -> dict:
     """Canonical JSON form echoed by the CLI after validation."""
-    from .scalars import rational_to_str
-
     return {
         "name": spec.name,
         "dim": spec.dim,

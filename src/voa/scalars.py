@@ -352,7 +352,9 @@ class LevelScalar:
     def __neg__(self) -> "LevelScalar":
         return _mkscalar(-self.num, self.den)
 
-    def __mul__(self, other: "LevelScalar") -> "LevelScalar":
+    def __mul__(self, other) -> "LevelScalar":
+        if type(other) is not LevelScalar:
+            return self.scale(other)  # an int or Fraction, as q * self takes it
         if other is ONE:
             return self
         if self is ONE:

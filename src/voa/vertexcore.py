@@ -58,6 +58,7 @@ import math
 from fractions import Fraction
 from math import lcm
 
+from . import linalg
 from .classical import ClassicalPoly, monomial_key
 from .liedata import LieSpec, _columns
 from .scalars import (
@@ -329,6 +330,10 @@ def _cp_pair(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
     return acc
 
 
+# the lru_caches that voa.cache_stats() counts and voa.clear_caches() empties
+_LRU_CACHES = (_int_scalar, _mode_mono, _cp_pair)
+
+
 def _cp_free(form, amono: Mono, n: int, bmono: Mono) -> dict:
     """amono o_n bmono for an abelian spec with form B by Wick's theorem
     (module docstring).
@@ -457,8 +462,6 @@ def sugawara(spec: LieSpec, h_dual) -> State:
     Written over a basis and its B-dual basis, so an orthonormal basis is not
     required; coefficients carry the denominator (k + h_dual).
     """
-    from . import linalg
-
     h_dual = _rational(h_dual)
     # dual i is column i of the inverse form: the solution of B x = e_i
     apply = linalg.factor([dict(enumerate(col)) for col in zip(*spec.form)])

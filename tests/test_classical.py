@@ -115,6 +115,30 @@ def test_lie_invariance_examples():
     assert not cl.lie_invariance_check(liedata.orthogonal_action(2), var(0, 0))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cl.lie_invariance_check(liedata.orthogonal_action(2), cl.weyl_q(3, 0, 0)),
+                 "a 2x2 family matrix does not reach the variable x[2,0]", id="lie-too-small"),
+    pytest.param(lambda: cl.apply_finite([[1, 0], [0, 1]], cl.weyl_q(3, 0, 0)),
+                 "a 2x2 family matrix does not reach the variable x[2,0]", id="finite-too-small"),
+    pytest.param(lambda: cl.apply_finite([[1, 0], [1]], cl.weyl_q(2, 0, 0)),
+                 "action matrix of shape 2x1/2 on an algebra of dim 2", id="ragged"),
+    pytest.param(lambda: cl.apply_finite([[1, 0]], cl.weyl_q(1, 0, 0)),
+                 "action matrix of shape 1x2 on an algebra of dim 1", id="not-square"),
+])
+def test_family_matrix_shape_is_checked(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_family_matrix_maps_each_family_by_its_column():
+    swap_and_scale = [[0, Fraction(1, 2)], [3, 0]]  # x[0,j] -> 3 x[1,j], x[1,j] -> x[0,j]/2
+    got = cl.apply_finite(swap_and_scale, var(0, 1) * var(1, 2))
+    assert got == (var(1, 1) * var(0, 2)).scale(Fraction(3, 2))
+    # a larger matrix acts on the families the polynomial has
+    assert cl.apply_finite([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], var(0, 0)) == var(0, 0).scale(-1)
+
+
 def test_polarization_preserves_invariance():
     rng = random.Random(9)
     o2 = liedata.orthogonal_action(2)

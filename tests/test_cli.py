@@ -113,6 +113,28 @@ def test_decouple(capsys):
     assert "no relation found" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--action", "orthogonal", "--weight", "2"],
+    ["decouple", "--dict", "j0", "--target", "j2"],
+], ids=["invariants", "decouple"])
+def test_zero_dimensional_algebra_is_a_data_error(capsys, tmp_path, argv):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("[algebra]\ndim = 0\n")
+    code, out, err = run(capsys, [*argv, "--algebra", str(cfg)])
+    assert code == 2 and out == ""
+    assert "error[ValueError]: dim 0 is not positive, line 2: 'dim = 0'" in err
+
+
+def test_console_script_entry(capsys, monkeypatch):
+    # pyproject.toml names cli.entry as the voa console script
+    monkeypatch.setattr("sys.argv", ["voa", "table1", "--n-max", "2", "--json"])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == 0
+    golden = json.loads((GOLDEN / "table1.json").read_text())
+    assert json.loads(capsys.readouterr().out) == golden[:2]
+
+
 def test_parity_error_exit_code(capsys):
     code, _, err = run(capsys, ["remainder", "--n", "1", "--I", "0,2", "--J", "0,1"])
     assert code == 2

@@ -321,6 +321,7 @@ MISSING_DIM = "[algebra]\nlabels = a b\n"
         "[algebra]\ndim = 2\n[form]\n0 1 1 = 1\n",  # three indices for a form entry
         "[algebra]\ndim = two\n",  # dim not an integer
         "[algebra]\ndim = -1\n",  # negative dim
+        "[algebra]\ndim = 0\n",  # zero dim
         "[algebra]\ndim = 1\nrank = 1\n",  # unknown [algebra] key
         "[algebra]\ndim = 2\n[form]\n0 0 = 1/0\n",  # zero denominator
         "[algebra]\ndim = 2\n[form]\n0 0\n",  # no '= value'

@@ -16,6 +16,7 @@ from voa.scalars import (
     poly_gcd,
     rational_roots,
 )
+from voa import linalg
 from voa.liedata import sl2_spec
 from voa.vertexcore import State, coerce_scalar, sugawara
 
@@ -428,11 +429,20 @@ def test_rational_operands_match_their_scalars():
     for s, _ in _fast_path_operands(rng):
         for q in (1, -1, 3, -12, 10**20 + 7, Fraction(1, 2), Fraction(-7, 3), Fraction(6)):
             r = LevelScalar.from_fraction(q)
-            for got, want in ((q * s, r * s), (s / q, s / r)):
+            for got, want in ((q * s, r * s), (s * q, s * r), (s / q, s / r)):
                 assert got == want and hash(got) == hash(want) and str(got) == str(want)
     for q in (0, Fraction(0)):
         with pytest.raises(ZeroDivisionError):
             K / q
+
+
+def test_int_or_fraction_on_the_right():
+    assert ONE * 3 == LevelScalar.from_fraction(3) and ZERO * 3 == ZERO
+    # a kernel vector over Q(k) holds the int 1 in its free column
+    (vec,) = linalg.kernel_basis([{0: K}, {0: K}], 2)
+    assert {j: K * c for j, c in vec.items()} == {0: -K, 1: K}
+    # an int-valued scalar still differs from the int, as its hash does
+    assert ONE.scale(2) != 2
 
 
 @pytest.mark.parametrize("make", [
@@ -441,13 +451,14 @@ def test_rational_operands_match_their_scalars():
     lambda: coerce_scalar(0.5),
     lambda: State.generator(0).scale(0.1),
     lambda: 0.5 * K,
+    lambda: K * 0.5,
     lambda: K / 2.0,
     lambda: K.evaluate_at(0.1),
     lambda: LevelPolynomial.constant(0.1),
     lambda: LevelPolynomial([0.1, 1]),
     lambda: LevelPolynomial.variable().evaluate(0.1),
     lambda: sugawara(sl2_spec(), 0.1),
-], ids=["from_fraction", "scale", "coerce_scalar", "State.scale", "rmul", "truediv",
+], ids=["from_fraction", "scale", "coerce_scalar", "State.scale", "rmul", "mul", "truediv",
         "evaluate_at", "constant", "LevelPolynomial", "evaluate", "sugawara"])
 def test_floats_are_refused(make):
     # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10

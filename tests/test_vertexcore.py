@@ -461,7 +461,7 @@ def test_cache_stats_counts_entries():
     assert before == dict.fromkeys(before, 0)
     vc.circle_product(SL2, State.generator(X), 0, State.generator(Y))
     remainder.rn(3, (0, 1, 2, 3), (0, 1, 2, 3))
-    voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
+    orbifold.remainder_direct(1, (0, 1), (0, 1))
     classical.weyl_q(2, 0, 1)
     classical.sl2_q(0, 1)
     classical.sl2_c(0, 1, 2)
@@ -492,7 +492,7 @@ def test_clear_caches_empties_every_counted_cache():
         )
 
     before = products()
-    voa.orbifold.remainder_direct(1, (0, 1), (0, 1))
+    orbifold.remainder_direct(1, (0, 1), (0, 1))
     stats = voa.cache_stats()
     assert stats["orbifold._OMEGA_CACHE"] > 0
     assert all(stats[f"classical.{name}"] > 0 for name in ("weyl_q", "sl2_q", "sl2_c"))
