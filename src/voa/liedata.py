@@ -206,7 +206,7 @@ def _columns(M, dim: int) -> tuple:
     """Column g of the dim x dim rational matrix M as the tuple of its nonzero
     (j, M[j][g]); ValueError when M has another shape."""
     widths = sorted({len(row) for row in M})
-    if len(M) != dim or widths != [dim]:
+    if len(M) != dim or (M and widths != [dim]):  # the empty M is the 0x0 matrix
         shape = f"{len(M)}x{'/'.join(map(str, widths)) or 0}"  # "3x2/3": ragged rows
         raise ValueError(f"action matrix of shape {shape} on an algebra of dim {dim}")
     return tuple(tuple((j, _exact(M[j][g])) for j in range(dim) if M[j][g]) for g in range(dim))

@@ -124,6 +124,8 @@ def test_lie_invariance_examples():
                  "action matrix of shape 2x1/2 on an algebra of dim 2", id="ragged"),
     pytest.param(lambda: cl.apply_finite([[1, 0]], cl.weyl_q(1, 0, 0)),
                  "action matrix of shape 1x2 on an algebra of dim 1", id="not-square"),
+    pytest.param(lambda: cl.apply_finite([], cl.weyl_q(2, 0, 0)),
+                 "a 0x0 family matrix does not reach the variable x[0,0]", id="empty"),
 ])
 def test_family_matrix_shape_is_checked(call, message):
     with pytest.raises(ValueError) as info:

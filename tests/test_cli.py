@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from voa import cli, liedata, orbifold
+from voa import cli, liedata, orbifold, remainder
+from voa.scalars import rational_to_str
 
 SL2_CONFIG = """
 [algebra]
@@ -151,6 +152,18 @@ def test_remainder_resource_bound(capsys):
     )
     assert code == 0
     assert out.strip() == "5/4"
+
+
+def test_remainder_weight_index_bound(capsys):
+    over = remainder.M_MAX_DEFAULT + 2
+    argv = ["remainder", "--n", "1", "--I", "0,1", "--J", f"0,{over - 3}"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert (f"error[ResourceError]: weight index m = {over} exceeds the bound"
+            f" {remainder.M_MAX_DEFAULT}") in err
+    code, out, _ = run(capsys, argv + ["--allow-large"])
+    want = remainder.r1_closed_form((0, 1), (0, over - 3))
+    assert code == 0 and out.strip() == rational_to_str(want)
 
 
 def test_remainder_direct_resource_bound(capsys):

@@ -9,6 +9,7 @@ from voa import linalg, remainder
 from voa.errors import ParityError, ResourceError
 from voa.terms import sort_sign
 from voa.remainder import (
+    M_MAX_DEFAULT,
     TABLE_MAX_DEFAULT,
     ScanResult,
     r1_closed_form,
@@ -115,20 +116,45 @@ def test_rn_and_scan_resource_bound():
     assert rn(2, (0, 1, 2), (0, 1, 2), allow_large=True) == TABLE[2]
 
 
+def test_rn_weight_index_budget():
+    over = M_MAX_DEFAULT + 2
+    I, J = (0, 1), (0, over - 3)  # m = sum(I) + sum(J) + 2 = over
+    message = rf"^weight index m = {over} exceeds the bound {M_MAX_DEFAULT}; pass allow_large"
+    with pytest.raises(ResourceError, match=message):
+        rn(1, I, J)
+    with pytest.raises(ResourceError, match=message):
+        scan_f(1, over - 3)
+    assert rn(1, I, J, allow_large=True) == r1_closed_form(I, J)
+    assert scan_f(1, over - 3, allow_large=True).values[-1] == (over - 3, r1_closed_form(I, J))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_matches_reference_at_the_weight_budget(n):
+    # one large index puts m at the bound, so L = lcm(1..m) has about 1.44 m bits
+    I, J = tuple(range(n)) + (M_MAX_DEFAULT - n * n - 2 * n,), tuple(range(n + 1))
+    assert sum(I) + sum(J) + 2 * n == M_MAX_DEFAULT
+    want = _reference_rn(n, I, J, {})
+    assert want != 0
+    assert rn(n, I, J) == rn(n, J, I, memoize=False) == want
+
+
 def test_kernel_matches_reference_memo_through_n5():
     remainder._MEMO.clear()
     reference = {}
     for n in range(1, 6):
         diag = tuple(range(n + 1))
         assert rn(n, diag, diag) == _reference_rn(n, diag, diag, reference) == TABLE[n]
-    # every memo entry, under its flat key lo + hi, is R_n in both orientations
+    # every memo entry, under its flat key lo + hi, is the integer R_n * lcm(1..m)^n
+    # with m = sum(lo + hi) + 2n, in both orientations
     assert len(remainder._MEMO) == 2730
-    for key, (num, den) in remainder._MEMO.items():
+    for key, N in remainder._MEMO.items():
         half = len(key) // 2
         lo, hi = key[:half], key[half:]
-        assert lo <= hi and den > 0 and math.gcd(num, den) == 1
-        want = _reference_rn(half - 1, lo, hi, reference)
-        assert Fraction(num, den) == want == _reference_rn(half - 1, hi, lo, reference), key
+        level = half - 1
+        scale = math.lcm(*range(1, sum(key) + 2 * level + 1)) ** level
+        assert lo <= hi and type(N) is int
+        for want in (_reference_rn(level, lo, hi, reference), _reference_rn(level, hi, lo, reference)):
+            assert want * scale == N, key
 
 
 def test_memo_expands_along_the_smaller_list():
