@@ -15,18 +15,21 @@ packed exponent vectors*, CASC 2007).  Its bits [0, W) hold the total
 degree, and letter number t has its exponent in bits [W(t+1), W(t+2)),
 with W = ``FIELD_BITS``; the empty monomial is 0.  So the product of two
 monomials is the sum of their keys, and a derivative subtracts the key of
-one letter.  Letters are the variables (i, j) and the symbols
-("Q", a, b) and ("C", k, l, m); one registry numbers them densely in
-the order of first use, which keeps the keys short.  Keys are therefore
-local to the process: ``letters(key)`` spells a key out as the sorted
-tuple of its letters, each repeated as often as its exponent, and
-everything that orders or prints monomials goes through it.  A product
-whose degree would reach 2^W (``MAX_DEGREE`` + 1) raises ``ValueError``
-before any field could overflow into the next; the check reads the degree
-field of each factor's keys, O(n + m) against the product's O(n m).  W = 6
-allows degree 63, three times the highest degree any computation here
-reaches, and keeps keys shorter (so faster to add and hash) than W = 8.
-A negative index raises ``ValueError`` wherever a letter is made.
+one letter.  A determinant's terms are the sums of its entries' keys, and
+a substitution groups terms by the lowest letter of their keys (a Horner
+scheme), so neither builds a product of single terms.  Letters are the
+variables (i, j) and the symbols ("Q", a, b) and ("C", k, l, m); one
+registry numbers them densely in the order of first use, which keeps the
+keys short.  Keys are therefore local to the process: ``letters(key)``
+spells a key out as the sorted tuple of its letters, each repeated as
+often as its exponent, and everything that orders or prints monomials goes
+through it.  A product whose degree would reach 2^W (``MAX_DEGREE`` + 1)
+raises ``ValueError`` before any field could overflow into the next; the
+check reads the degree field of each factor's keys, O(n + m) against the
+product's O(n m).  W = 6 allows degree 63, three times the highest degree
+any computation here reaches, and keeps keys shorter (so faster to add and
+hash) than W = 8.  A negative index raises ``ValueError`` wherever a
+letter is made.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .liedata import ActionSpec, _columns, _exact
-from .terms import Terms, sort_sign, weighted_multisets
+from .liedata import ActionSpec, _columns, _exact, _shape
+from .terms import Terms, merge, sort_sign, weighted_multisets
 
 # sl2 classical variable families, in the basis order of liedata.sl2_spec()
 SL2_X, SL2_Y, SL2_H = 0, 1, 2
@@ -257,8 +260,9 @@ def sl2_c(k: int, l: int, m: int) -> ClassicalPoly:
     """Adjoint cubic: the 3x3 determinant with rows (h, x, y) at orders k, l, m."""
     if not (k < l < m):
         raise ValueError("need k < l < m")
+    _check_indices(k)
     cols = (SL2_H, SL2_X, SL2_Y)
-    return _determinant([[ClassicalPoly.variable(c, r) for c in cols] for r in (k, l, m)])
+    return _determinant([[letter_key((c, r)) for c in cols] for r in (k, l, m)])
 
 
 # the lru_caches that voa.cache_stats() counts and voa.clear_caches() empties
@@ -271,13 +275,14 @@ def _signed_permutations(n):
     return tuple((perm, sort_sign(perm)[0]) for perm in itertools.permutations(range(n)))
 
 
-def _determinant(entries):
-    """Leibniz expansion of the determinant of a square matrix (a list of rows)."""
-    n = len(entries)
-    return ClassicalPoly.sum(
-        math.prod((entries[r][perm[r]] for r in range(n)), start=ClassicalPoly.constant(sign))
-        for perm, sign in _signed_permutations(n)
-    )
+def _determinant(keys) -> ClassicalPoly:
+    """Leibniz expansion of the determinant of a square matrix of letter keys:
+    a permutation's monomial is the sum of its entries' keys, and the signs
+    are merged into one dict in permutation order, with no product made."""
+    out = {}
+    for perm, sign in _signed_permutations(len(keys)):
+        merge(out, {sum(row[j] for row, j in zip(keys, perm)): sign})
+    return ClassicalPoly.wrap(out)
 
 
 # -- the symbols Q_{a,b} and C_{klm}, and their relations --------------------------
@@ -302,21 +307,34 @@ def det_relation(n: int, I, J) -> ClassicalPoly:
 
 def _q_determinant(rows, cols) -> ClassicalPoly:
     """The determinant of the matrix (Q_{a,b}) with a in rows and b in cols."""
-    return _determinant([[ClassicalPoly.q(a, b) for b in cols] for a in rows])
+    return _determinant([[letter_key(q_symbol(a, b)) for b in cols] for a in rows])
 
 
 def _substitute(p, image) -> ClassicalPoly:
-    """The ring homomorphism determined by each letter's image(letter).
+    """The ring homomorphism determined by each letter's image(letter), a
+    ClassicalPoly, on p (in symbols or in variables (i, j)); image is called
+    once per distinct letter of p.  A Horner scheme: p = c0 + sum_l l p_l, with
+    l the lowest-numbered letter of each term, so image(p) = c0 + sum_l
+    image(l) image(p_l), and each image(p_l) is summed the same way before it
+    is multiplied; p_l = c gives image(l).scale(c), a fresh dict."""
+    images = {}
 
-    p's letters are symbols or variables (i, j), and image(letter) is a
-    ClassicalPoly; image is called once per distinct letter of p.
-    """
-    spelled = [(letters(key), c) for key, c in p.terms.items()]
-    images = {v: image(v) for v in dict.fromkeys(itertools.chain.from_iterable(s for s, _ in spelled))}
-    return ClassicalPoly.sum(
-        math.prod(map(images.__getitem__, s), start=ClassicalPoly.constant(c))
-        for s, c in spelled
-    )
+    def horner(terms):
+        groups = {}
+        for key, c in terms.items():
+            rest = key >> FIELD_BITS
+            low = (rest & -rest).bit_length() + FIELD_BITS - 1  # lowest bit past the degree
+            step = (1 << (low - low % FIELD_BITS)) | 1 if key else 0  # that letter's key
+            groups.setdefault(step, {})[key - step] = c
+        out = groups.pop(0, {})  # the constant term
+        for step, group in groups.items():
+            if step not in images:
+                images[step] = image(_LETTERS[(step.bit_length() - 1) // FIELD_BITS - 1])
+            im = images[step]
+            merge(out, (im.scale(group[0]) if group.keys() == {0} else im * horner(group)).terms)
+        return ClassicalPoly.wrap(out)
+
+    return horner(p.terms)
 
 
 def substitute(p: ClassicalPoly, n: int) -> ClassicalPoly:
@@ -385,6 +403,8 @@ def _family_image(M):
     """(i, j) |-> sum over i2 of M[i2][i] x_{i2,j}: a square matrix acting on the
     family index.  A matrix of another shape, or one too small to reach a
     family of the polynomial, raises ValueError."""
+    if any(len(row) != len(M) for row in M):
+        raise ValueError(f"a {_shape(M)} family matrix is not square")
     cols = _columns(M, len(M))
 
     def image(v):

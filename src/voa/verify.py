@@ -276,6 +276,10 @@ def suite_classical() -> SuiteResult:
             not bad,
             f"failures {bad[:3]}",
         )
+        # the control: in n + 1 families the same substitution is not zero
+        control = cl.substitute(cl.det_relation(n, range(n + 1), range(n + 1)), n + 1)
+        res.add(f"determinant relation survives {n + 1} families (n={n}, control)",
+                not control.is_zero(), "the substitution gave zero")
     bad = []
     for idx in itertools.product(range(4), repeat=5):
         if not cl.substitute_sl2(cl.sl2_relation_type1(*idx)).is_zero():

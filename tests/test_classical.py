@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import classical_reference
 import tuple_reference as ref
 from voa import classical as cl
 from voa import liedata
 from voa import orbifold as ob
+from voa import verify
 from voa.classical import ClassicalPoly
 
 
@@ -53,7 +55,7 @@ def test_det_relations_vanish_sample(n):
 
 
 def test_determinant_builds_each_entry_once(monkeypatch):
-    # a 3x3 determinant: nine Q symbols, and every sign read from the table
+    # a 3x3 determinant: nine Q symbols' keys, and every sign read from the table
     cl.det_relation(2, (0, 1, 2), (0, 1, 2))
     calls = {"q": 0, "sort_sign": 0}
 
@@ -63,7 +65,7 @@ def test_determinant_builds_each_entry_once(monkeypatch):
             return plain(*args)
         return wrapper
 
-    monkeypatch.setattr(ClassicalPoly, "q", staticmethod(counted("q", ClassicalPoly.q)))
+    monkeypatch.setattr(cl, "q_symbol", counted("q", cl.q_symbol))
     monkeypatch.setattr(cl, "sort_sign", counted("sort_sign", cl.sort_sign))
     rel = cl.det_relation(2, (0, 1, 2), (0, 1, 3))
     assert calls == {"q": 9, "sort_sign": 0}
@@ -121,9 +123,9 @@ def test_lie_invariance_examples():
     pytest.param(lambda: cl.apply_finite([[1, 0], [0, 1]], cl.weyl_q(3, 0, 0)),
                  "a 2x2 family matrix does not reach the variable x[2,0]", id="finite-too-small"),
     pytest.param(lambda: cl.apply_finite([[1, 0], [1]], cl.weyl_q(2, 0, 0)),
-                 "action matrix of shape 2x1/2 on an algebra of dim 2", id="ragged"),
+                 "a 2x1/2 family matrix is not square", id="ragged"),
     pytest.param(lambda: cl.apply_finite([[1, 0]], cl.weyl_q(1, 0, 0)),
-                 "action matrix of shape 1x2 on an algebra of dim 1", id="not-square"),
+                 "a 1x2 family matrix is not square", id="not-square"),
     pytest.param(lambda: cl.apply_finite([], cl.weyl_q(2, 0, 0)),
                  "a 0x0 family matrix does not reach the variable x[0,0]", id="empty"),
 ])
@@ -201,19 +203,85 @@ def test_substitute_builds_each_image_once():
     assert got == want and not got.is_zero()
 
 
+def weyl_image(n):
+    return lambda sym: cl.weyl_q(n, sym[1], sym[2])
+
+
+def sl2_image(sym):
+    return cl.sl2_q(*sym[1:]) if sym[0] == "Q" else cl.sl2_c(*sym[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_determinants_and_substitution_match_the_reference(n):
+    # in n + 1 families the determinant relations do not vanish, so a
+    # substitution that wrongly gave zero would show here
+    for I in itertools.combinations(range(5), n + 1):
+        for J in itertools.combinations(range(5), n + 1):
+            rel = cl.det_relation(n, I, J)
+            want = classical_reference.determinant([[ClassicalPoly.q(a, b) for b in J] for a in I])
+            assert rel == want and list(rel.terms) == list(want.terms)
+            got = cl.substitute(rel, n + 1)
+            assert got == classical_reference.substitute(rel, weyl_image(n + 1))
+            assert not got.is_zero()
+
+
+def test_sl2_cubic_and_products_match_the_reference():
+    variables = [[var(c, r) for c in (cl.SL2_H, cl.SL2_X, cl.SL2_Y)] for r in (0, 2, 3)]
+    want = classical_reference.determinant(variables)
+    assert cl.sl2_c(0, 2, 3) == want and list(cl.sl2_c(0, 2, 3).terms) == list(want.terms)
+    q, c = ClassicalPoly.q, ClassicalPoly.c
+    products = [q(0, 1) * c(0, 1, 2), q(2, 2) * c(0, 1, 3), c(0, 1, 2) * c(0, 1, 2),
+                c(0, 1, 2) * c(1, 2, 3), (q(0, 0) * c(0, 2, 3)).scale(Fraction(-2, 3))
+                + c(0, 1, 3) * c(0, 2, 3) + q(1, 3) * q(0, 2)]
+    for p in products:
+        got = cl.substitute_sl2(p)
+        assert got == classical_reference.substitute(p, sl2_image) and not got.is_zero()
+
+
+def test_apply_finite_matches_the_reference():
+    M = [[Fraction(1, 2), 2, 0], [-1, Fraction(-1, 3), 1], [0, 3, Fraction(5, 4)]]
+    image = cl._family_image(M)
+    for p in (cl.weyl_q(3, 0, 1) * cl.weyl_q(3, 1, 2), cl.sl2_c(0, 1, 2),
+              var(0, 0) * var(2, 1) - var(1, 1).scale(Fraction(1, 7)) + ClassicalPoly.constant(2)):
+        got = cl.apply_finite(M, p)
+        assert got == classical_reference.substitute(p, image) and got != p
+
+
+def test_suite_classical_controls_catch_a_zero_substitution(monkeypatch):
+    # every vanishing check passes on a substitution that gives zero
+    monkeypatch.setattr(cl, "_substitute", lambda p, image: ClassicalPoly.zero())
+    failed = {c.label for c in verify.suite_classical().checks if not c.ok}
+    controls = {f"determinant relation survives {n + 1} families (n={n}, control)"
+                for n in (1, 2, 3)}
+    assert controls <= failed
+    assert not any("vanish" in label for label in failed)
+
+
 def test_substitute_twice_leaves_shared_images_unchanged():
     # weyl_q, sl2_q and sl2_c hand every caller the same cached object
     q_before = dict(cl.weyl_q(3, 0, 1).terms)
     c_before = dict(cl.sl2_c(0, 1, 2).terms)
+    sl2_q_before = dict(cl.sl2_q(0, 1).terms)
     assert cl.weyl_q(3, 0, 1) is cl.weyl_q(3, 0, 1)
     det = cl.det_relation(2, (0, 1, 2), (0, 1, 3))
     syzygy = cl.sl2_relation_type1(0, 1, 0, 1, 2)
     products = (ClassicalPoly.c(0, 1, 2) * ClassicalPoly.q(0, 1)).scale(Fraction(-1, 3))
-    for rel, sub in ((det, lambda p: cl.substitute(p, 3)), (syzygy, cl.substitute_sl2),
-                     (products, cl.substitute_sl2)):
+    # Horner groups that end in a single letter: c l maps to image(l).scale(c)
+    q, c = ClassicalPoly.q(0, 1), ClassicalPoly.c(0, 1, 2)
+    one = ClassicalPoly.constant(1)
+    leaves = [(q, lambda p: cl.substitute(p, 3)), (q * (one + q), lambda p: cl.substitute(p, 3)),
+              (q, cl.substitute_sl2), (c, cl.substitute_sl2),
+              (c.scale(Fraction(-1, 3)) + q + c * (one + q), cl.substitute_sl2)]
+    for rel, sub in [(det, lambda p: cl.substitute(p, 3)), (syzygy, cl.substitute_sl2),
+                     (products, cl.substitute_sl2)] + leaves:
         first, second = sub(rel), sub(rel)
         assert first == second and first.terms is not second.terms
+        assert all(first.terms is not im.terms
+                   for im in (cl.weyl_q(3, 0, 1), cl.sl2_q(0, 1), cl.sl2_c(0, 1, 2)))
+    assert cl.substitute(q, 3) == cl.weyl_q(3, 0, 1)
+    assert cl.substitute_sl2(c) == cl.sl2_c(0, 1, 2)
     assert not cl.substitute_sl2(products).is_zero()
+    assert cl.sl2_q(0, 1).terms == sl2_q_before
     assert cl.weyl_q(3, 0, 1).terms == q_before
     assert cl.sl2_c(0, 1, 2).terms == c_before
     assert all(type(v) is int for v in q_before.values())
