@@ -10,10 +10,11 @@ The level k is always formal; kappa acts as multiplication by k.
 
 Mode conventions: a field a(z) = sum a(n) z^{-n-1}; the n-th circle product
 a o_n b is a(n)b under the state-field correspondence.  The n-th mode of
-(1/m!) d^m X^i(z) is (-1)^m binom(n, m) X^i(n-m), which drives the circle
-product recursion on the leftmost factor of a.  Translation is a circle
-product too: by the creation property Y(a, z)|0> = e^{zD} a, a o_n |0> is a
-for n = -1 and 0 for n >= 0, and D^k a = k! a o_{-k-1} |0>.
+(1/m!) d^m X^i(z) is (-1)^m binom(n, m) X^i(n-m).  On a nonabelian spec a
+one-factor a = X^i(-m-1) is that one mode, and a longer monomial a recurses
+on its leftmost factor down to such one-factor products.  Translation is a
+circle product too: by the creation property Y(a, z)|0> = e^{zD} a,
+a o_n |0> is a for n = -1 and 0 for n >= 0, and D^k a = k! a o_{-k-1} |0>.
 
 For an abelian spec (a free field: the Heisenberg algebra) a o_n b has a
 closed form by Wick's theorem (Bais, Bouwknegt, Surridge and Schoutens,
@@ -164,11 +165,16 @@ def degree(a: State) -> int:
 # which caches its sub-products too.  _cp_mono answers the vacuum on either
 # side before the cache: |0> o_n b, and a o_n |0> for n >= -1 (the creation
 # property); without the latter, a derivative's recursion cached u o_p |0>
-# for every p and every right factor u of a.  _mode_mono caches its trivial
-# cases (a mode on the vacuum, a creation mode already in front of the
-# monomial): answered before the cache, each call built a fresh prepended
-# tuple that the cached products no longer shared, and the engine
-# benchmark's peak RSS rose by 7 %.
+# for every p and every right factor u of a.  On a nonabelian spec it also
+# answers a one-factor a before the cache, as the cached _mode_mono map of
+# one mode, scaled into a fresh map unless the factor is 1; so only left
+# monomials of two or more factors reach _cp_pair, and the recursion's
+# leaves are mode lookups.  Abelian specs keep _cp_free for every pair,
+# one-factor ones too, so their products fill no _mode_mono entries.
+# _mode_mono caches its trivial cases (a mode on the vacuum, a creation mode
+# already in front of the monomial): answered before the cache, each call
+# built a fresh prepended tuple that the cached products no longer shared,
+# and the engine benchmark's peak RSS rose by 7 %.
 
 
 def _imerge(acc: dict, terms: dict, c, p: int = 0):
@@ -299,6 +305,14 @@ def _cp_mono(spec: LieSpec, amono: Mono, n: int, bmono: Mono) -> dict:
         return {(bmono, 0): 1} if n == -1 else {}
     if not bmono and n >= -1:  # the creation property
         return {(amono, 0): 1} if n == -1 else {}
+    if len(amono) == 1 and spec.free_field is None:
+        # X^i(-d) o_n b is the mode (-1)^m binom(n, m) X^i(n-m), m = d-1
+        (i, d), = amono
+        m = d - 1
+        c = _binom_int(n, m)
+        if not c:
+            return {}
+        return _scaled(_mode_mono(spec, i, n - m, bmono), (-c if m % 2 else c,))
     return _cp_pair(spec, amono, n, bmono)
 
 
@@ -423,7 +437,9 @@ def derivative(spec: LieSpec, a: State) -> State:
 
 
 def nth_derivative(spec: LieSpec, a: State, k: int) -> State:
-    """D^k a = k! a o_{-k-1} |0>."""
+    """D^k a = k! a o_{-k-1} |0>, for k >= 0."""
+    if k < 0:
+        raise ValueError(f"nth_derivative needs k >= 0, got k = {k}")
     return circle_product(spec, a, -k - 1, State.vacuum(math.factorial(k)))
 
 

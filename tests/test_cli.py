@@ -486,7 +486,9 @@ GOLDEN = Path(__file__).parent / "golden"
 # directly, with tests/data/heisenberg2-swap.cfg (a finite element that mixes
 # the generators, where every built-in finite element is diagonal);
 # remainder-direct-r3.json at commit 5a40151, before the classical symbols
-# became ClassicalPoly terms.
+# became ClassicalPoly terms; ope-sl2-third.json at commit 4f58e68, before a
+# one-factor left monomial on a nonabelian spec was answered as one mode, with
+# tests/data/sl2-third.cfg (its mode maps hold Fractions).
 GOLDEN_COMMANDS = {
     "table1": ["table1", "--n-max", "6", "--json"],
     "decouple": ["decouple", "--algebra", "heisenberg1", "--dict", "j0,j2", "--target", "j4",
@@ -503,6 +505,8 @@ GOLDEN_COMMANDS = {
                             "--json"],
     "sl2-generators": ["sl2-generators", "--max-weight", "6", "--json"],
     "ope": ["ope", "--algebra", "sl2", "x", "y", "--json"],
+    "ope-sl2-third": ["ope", "--algebra", str(Path(__file__).parent / "data" / "sl2-third.cfg"),
+                      "x", "t", "--json"],
     "circle": ["circle", "--algebra", "sl2", "--n", "-1", "y", "x", "--json"],
     "invariants-sl2": ["invariants", "--algebra", "sl2", "--action", "adjoint", "--weight", "4",
                        "--json"],

@@ -197,6 +197,12 @@ def test_derivations_and_group_actions_match_word_expansions(spec, rhos, mats):
             assert vc.apply_group_element(spec, M, a) == _reference_apply_group_element(spec, M, a)
 
 
+def test_nth_derivative_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="k >= 0, got k = -1"):
+        vc.nth_derivative(SL2, State.generator(X), -1)
+    assert vc.nth_derivative(SL2, State.generator(X), 0) == State.generator(X)
+
+
 @pytest.mark.parametrize(
     "spec, action",
     [
@@ -606,6 +612,52 @@ def test_free_field_monomial_products_match_whole_state_recursion(spec):
                 assert got == _reference_circle_product(spec, st(amono), n, st(bmono))
                 if n >= wa + wb:
                     assert got.is_zero()
+
+
+@pytest.mark.parametrize("spec", [SL2, SL2_THIRD], ids=["sl2", "sl2-third"])
+def test_one_factor_products_are_one_scaled_mode(spec):
+    # X^i(-d) o_n b = (-1)^(d-1) binom(n, d-1) X^i(n-d+1) b, answered from the
+    # cached mode map, against the independent recursion; SL2_THIRD's maps
+    # hold Fractions
+    bmonos = _monomials(spec.dim, 3)
+    for i in range(spec.dim):
+        for d in range(1, 5):
+            amono = ((i, d),)
+            for bmono in bmonos:
+                for n in range(-4, d + vc.mono_weight(bmono) + 1):
+                    got = vc.circle_product(spec, st(amono), n, st(bmono))
+                    assert got == _reference_circle_product(spec, st(amono), n, st(bmono))
+                    if d < 2 or not bmono and n >= -1:
+                        continue
+                    # a scaled answer is a fresh map: the cached mode is kept
+                    c = (-1) ** (d - 1) * _binom(n, d - 1)
+                    cached = vc._mode_mono(spec, i, n - d + 1, bmono)
+                    before = dict(cached)
+                    terms = vc._cp_mono(spec, amono, n, bmono)
+                    assert vc._mode_mono(spec, i, n - d + 1, bmono) == before
+                    assert terms == ({key: v * c for key, v in before.items()} if c else {})
+                    assert (terms is cached) == (c == 1)
+
+
+def test_one_factor_left_monomials_never_reach_the_pair_cache(monkeypatch):
+    import voa
+
+    a = st(((X, 1),)) + st(((H, 2),), K) + st(((Y, 3),), Fraction(1, 2))
+    b = st(((Y, 1), (H, 1)), K) + st(((X, 2), (X, 1))) + st(((H, 3),)) + State.vacuum(2)
+    voa.clear_caches()
+    for n in range(-3, 5):
+        vc.circle_product(SL2, a, n, b)
+    assert voa.cache_stats()["vertexcore._cp_pair"] == 0
+    # with multi-factor left monomials, only those reach the pair cache, and
+    # their recursion answers its one-factor leaves as modes
+    keys = []
+    real = vc._cp_pair
+    monkeypatch.setattr(vc, "_cp_pair", lambda *args: keys.append(args) or real(*args))
+    a = a + st(((X, 1), (Y, 1))) + st(((H, 2), (X, 1), (Y, 1)), K)
+    for n in range(-2, 4):
+        vc.circle_product(SL2, a, n, b)
+    assert keys and all(len(amono) >= 2 for _, amono, _, _ in keys)
+    voa.clear_caches()
 
 
 def test_only_abelian_specs_take_the_free_field_branch(monkeypatch):
